@@ -9,6 +9,7 @@ error, 3 resource budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -279,7 +280,9 @@ HANDLERS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; each parse returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="jsnorm",
         description="Set-family norms, axiom checkers, and tree-system searches.",
@@ -341,32 +344,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, out_path: Optional[str]) -> None:
+def _emit(payload: dict, out_path: Optional[str], command: str, code: int) -> int:
+    """Write the report and return the exit code; an unwritable --out exits 2
+    with the error report on stdout."""
     text = canonical_json(payload)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            error = {"code": "input-format", "message": str(exc)}
+            sys.stdout.write(canonical_json({"command": command, "error": error}))
+            return 2
     else:
         sys.stdout.write(text)
+    return code
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
     command = args.command
     if not 10 <= args.precision <= 200:
-        _emit(
+        return _emit(
             {
                 "command": command,
                 "error": {"code": "input-format", "message": "precision must be in [10, 200]"},
             },
             args.out,
+            command,
+            2,
         )
-        return 2
 
     try:
         budgets = _resolve_budgets(args)
@@ -392,8 +403,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             "command": command,
             "error": {"code": "input-format", "message": str(exc)},
         }, 2
-    _emit(payload, args.out)
-    return code
+    return _emit(payload, args.out, command, code)
 
 
 def entrypoint() -> None:

@@ -206,30 +206,44 @@ def _component_dp(tmasks: list[int], squares: list[int], k_c: int) -> tuple[int,
     """Exact max Σ squares over trace-disjoint candidates, by subset DP.
 
     States are masks of still-free support atoms; each state either skips its
-    lowest atom or covers it with a candidate. Candidates are scanned in
-    canonical order with strict improvement, so ties resolve the same way
-    every run.
+    lowest atom or covers it with a candidate. Only the states reachable from
+    the full mask by those moves are solved: an explicit stack collects them
+    with the candidates that fit each one, then they are solved in increasing
+    mask order, so every successor (a proper submask) is solved first.
+    Candidates are scanned in canonical order with strict improvement, so
+    ties resolve the same way every run.
     """
-    size = 1 << k_c
     cands_by_atom: list[list[int]] = [[] for _ in range(k_c)]
     for j, tm in enumerate(tmasks):
         cands_by_atom[(tm & -tm).bit_length() - 1].append(j)
-    best = [0] * size
-    choice = [-1] * size
-    for free in range(1, size):
+    full = (1 << k_c) - 1
+    fits: dict[int, list[int]] = {0: []}
+    stack = [full]
+    while stack:
+        free = stack.pop()
+        if free in fits:
+            continue
+        low = free & -free
+        here = [j for j in cands_by_atom[low.bit_length() - 1] if tmasks[j] & free == tmasks[j]]
+        fits[free] = here
+        stack.append(free ^ low)
+        stack.extend(free ^ tmasks[j] for j in here)
+    best = {0: 0}
+    choice: dict[int, int] = {}
+    for free in sorted(fits):
+        if not free:
+            continue
         low = free & -free
         b = best[free ^ low]
         c = -1
-        for j in cands_by_atom[low.bit_length() - 1]:
-            tm = tmasks[j]
-            if tm & free == tm:
-                v = squares[j] + best[free ^ tm]
-                if v > b:
-                    b, c = v, j
+        for j in fits[free]:
+            v = squares[j] + best[free ^ tmasks[j]]
+            if v > b:
+                b, c = v, j
         best[free] = b
         choice[free] = c
     picked: list[int] = []
-    free = size - 1
+    free = full
     while free:
         c = choice[free]
         if c < 0:
@@ -237,7 +251,7 @@ def _component_dp(tmasks: list[int], squares: list[int], k_c: int) -> tuple[int,
         else:
             picked.append(c)
             free ^= tmasks[c]
-    return best[size - 1], picked
+    return best[full], picked
 
 
 def norm_oracle(

@@ -86,7 +86,13 @@ def tree_to_dict(tree: FiniteTree) -> dict:
 
 def tree_from_dict(payload: Mapping) -> FiniteTree:
     try:
-        return FiniteTree(dict(payload["parent"]), forest=bool(payload.get("forest", False)))
+        parent = dict(payload["parent"])
+        forest = payload.get("forest", False)
+        if not isinstance(forest, bool):
+            raise InputFormatError(f"'forest' must be true or false, got {forest!r}")
+        return FiniteTree(parent, forest=forest)
+    except InputFormatError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"bad tree payload: {exc}") from exc
 

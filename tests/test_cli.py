@@ -325,3 +325,42 @@ def test_unknown_command_exits_2(capsys):
     code = cli.main(["frobnicate"])
     capsys.readouterr()
     assert code == 2
+
+
+def test_parser_is_built_once_and_options_do_not_leak(capsys, inputs, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    out = tmp_path / "first.json"
+    first = [
+        "norm",
+        "--family",
+        inputs["family.json"],
+        "--vector",
+        inputs["vector.json"],
+        "--precision",
+        "12",
+        "--oracle-limit",
+        "2",
+        "--out",
+        str(out),
+    ]
+    code, payload = run(capsys, first)
+    assert code == 3 and payload is None
+    assert json.loads(out.read_text())["error"]["code"] == "resource-limit"
+    # No --out, --precision or --oracle-limit carries over from the first call.
+    code, payload = run(
+        capsys,
+        ["norm", "--family", inputs["family.json"], "--vector", inputs["vector.json"]],
+    )
+    assert code == 0
+    assert payload["norm_sq"] == "5/1"
+    assert len(payload["norm_decimal"].replace(".", "")) == 50
+    code, payload = run(capsys, ["saturate", "--supports", inputs["supports.json"]])
+    assert code == 0 and payload["command"] == "saturate"
+
+
+def test_out_into_missing_directory_exits_2(capsys, inputs):
+    target = inputs["dir"] + "/no-such-dir/out.json"
+    code, payload = run(capsys, ["saturate", "--supports", inputs["supports.json"], "--out", target])
+    assert code == 2
+    assert payload["command"] == "saturate"
+    assert payload["error"]["code"] == "input-format"

@@ -126,3 +126,14 @@ def test_family_round_trip_random(ground_atoms, data):
     )
     fam = SetFamily(g, [tuple(m) for m in members])
     assert family_from_dict(family_to_dict(fam)).members == fam.members
+
+
+@pytest.mark.parametrize("forest", ["false", 0, None])
+def test_tree_from_dict_rejects_non_boolean_forest(forest):
+    with pytest.raises(InputFormatError):
+        tree_from_dict({"parent": {"a": None}, "forest": forest})
+
+
+def test_tree_from_dict_forest_defaults_to_false():
+    assert tree_from_dict({"parent": {"a": None}}).forest is False
+    assert tree_from_dict({"parent": {"a": None, "b": None}, "forest": True}).forest is True
