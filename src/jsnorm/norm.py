@@ -83,64 +83,19 @@ def _scale_to_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
 def _best_disjoint(masks: Sequence[int], values: Sequence[int]) -> tuple[int, list[int]]:
     """Max Σ values[i]² over index sets with pairwise disjoint masks.
 
-    Runs one include-first DFS per connected component of the overlap graph,
-    pruning on suffix square sums. Strict improvement keeps the first optimum
-    in index order, so the witness is deterministic.
+    Values must be nonzero. Each connected component of the overlap graph is
+    solved by the subset DP over its atoms. Every square is shifted left by n
+    bits and index i adds the bit 2^(n-1-i), so distinct index sets never tie
+    and the unique optimum is the first optimal index set in lexicographic
+    order: the witness is deterministic, and the work depends on the masks,
+    not on how the values rank the sets.
     """
     n = len(masks)
     if n == 0:
         return 0, []
-
-    comp_of = [-1] * n
-    comps: list[list[int]] = []
-    for i in range(n):
-        if comp_of[i] >= 0:
-            continue
-        comp = [i]
-        comp_of[i] = len(comps)
-        queue = [i]
-        while queue:
-            a = queue.pop()
-            for b in range(n):
-                if comp_of[b] < 0 and masks[a] & masks[b]:
-                    comp_of[b] = len(comps)
-                    comp.append(b)
-                    queue.append(b)
-        comp.sort()
-        comps.append(comp)
-
-    total = 0
-    chosen: list[int] = []
-    for comp in comps:
-        k = len(comp)
-        squares = [values[i] * values[i] for i in comp]
-        suffix = [0] * (k + 1)
-        for j in range(k - 1, -1, -1):
-            suffix[j] = suffix[j + 1] + squares[j]
-
-        best = 0
-        best_pick: list[int] = []
-        pick: list[int] = []
-
-        def rec(start: int, used: int, cur: int) -> None:
-            nonlocal best, best_pick
-            if cur > best:
-                best = cur
-                best_pick = list(pick)
-            for j in range(start, k):
-                if cur + suffix[j] <= best:
-                    return
-                m = masks[comp[j]]
-                if m & used:
-                    continue
-                pick.append(comp[j])
-                rec(j + 1, used | m, cur + squares[j])
-                pick.pop()
-
-        rec(0, 0, 0)
-        total += best
-        chosen.extend(best_pick)
-    return total, sorted(chosen)
+    weights = [(v * v << n) | (1 << (n - 1 - i)) for i, v in enumerate(values)]
+    total, picked = _packing_by_components(masks, weights, max(m.bit_length() for m in masks))
+    return total >> n, sorted(picked)
 
 
 def _min_per_trace(members: list[Member], fmasks: list[int], tmasks: list[int]) -> list[int]:
@@ -203,9 +158,9 @@ def _component_atom_masks(tmasks: Sequence[int], k: int) -> list[int]:
 
 
 def _component_dp(tmasks: list[int], squares: list[int], k_c: int) -> tuple[int, list[int]]:
-    """Exact max Σ squares over trace-disjoint candidates, by subset DP.
+    """Exact max Σ squares over candidates with disjoint masks, by subset DP.
 
-    States are masks of still-free support atoms; each state either skips its
+    States are masks of still-free atoms; each state either skips its
     lowest atom or covers it with a candidate. Only the states reachable from
     the full mask by those moves are solved: an explicit stack collects them
     with the candidates that fit each one, then they are solved in increasing
@@ -254,6 +209,33 @@ def _component_dp(tmasks: list[int], squares: list[int], k_c: int) -> tuple[int,
     return best[full], picked
 
 
+def _packing_by_components(masks: Sequence[int], weights: Sequence[int], k: int) -> tuple[int, list[int]]:
+    """Max Σ weights over index sets with pairwise disjoint masks on k atoms.
+
+    Splits the atoms into the components linked by shared masks and runs the
+    subset DP on each over its own atoms; returns the total and the picked
+    indices, unsorted.
+    """
+    total = 0
+    picked: list[int] = []
+    for cmask in _component_atom_masks(masks, k):
+        local_atoms = [a for a in range(k) if cmask >> a & 1]
+        local_bit = {a: 1 << i for i, a in enumerate(local_atoms)}
+        local_idx = [j for j, m in enumerate(masks) if m & cmask]
+        local_masks = []
+        for j in local_idx:
+            m, lm = masks[j], 0
+            while m:
+                low = m & -m
+                lm |= local_bit[low.bit_length() - 1]
+                m ^= low
+            local_masks.append(lm)
+        b, p = _component_dp(local_masks, [weights[j] for j in local_idx], len(local_atoms))
+        total += b
+        picked.extend(local_idx[q] for q in p)
+    return total, picked
+
+
 def norm_oracle(
     family: SetFamily,
     phi: FinVector,
@@ -265,8 +247,8 @@ def norm_oracle(
     among members with equal trace only inclusion-minimal ones can matter.
     When no pair overlaps outside the support (always true for the minimal
     representatives of tree segments), packing feasibility depends on traces
-    alone and a subset DP over support atoms is exact; otherwise the search
-    falls back to branch and bound on full member masks.
+    alone and a subset DP over support atoms is exact; otherwise the same DP
+    runs on full member masks, with the first optimum in index order.
     """
     if not family.ground.covers(phi.support):
         raise GroundMismatchError("vector support is not contained in the family ground set")
@@ -317,25 +299,8 @@ def norm_oracle(
         witness = sort_members(members[i] for i in idx)
         return NormResult(Fraction(best, denom * denom), witness, "oracle")
 
-    total = 0
-    picked_members: list[Member] = []
-    for cmask in _component_atom_masks(tmasks, k):
-        local_atoms = [a for a in range(k) if cmask >> a & 1]
-        local_bit = {a: 1 << i for i, a in enumerate(local_atoms)}
-        local_idx = [j for j, tm in enumerate(tmasks) if tm & cmask]
-        local_tmasks = []
-        for j in local_idx:
-            tm, lm = tmasks[j], 0
-            while tm:
-                low = tm & -tm
-                lm |= local_bit[low.bit_length() - 1]
-                tm ^= low
-            local_tmasks.append(lm)
-        squares = [values[j] * values[j] for j in local_idx]
-        b, picked = _component_dp(local_tmasks, squares, len(local_atoms))
-        total += b
-        picked_members.extend(members[local_idx[p]] for p in picked)
-    witness = sort_members(picked_members)
+    total, picked = _packing_by_components(tmasks, [v * v for v in values], k)
+    witness = sort_members(members[i] for i in picked)
     return NormResult(Fraction(total, denom * denom), witness, "oracle")
 
 

@@ -1,0 +1,140 @@
+"""The component DP behind norm_weighted and branch and bound, against the
+include-first search it replaced."""
+
+import math
+import random
+from fractions import Fraction
+
+from jsnorm.core import FinVector, SetFamily
+from jsnorm.norm import _best_disjoint, norm_oracle, norm_weighted, weighted_eval
+from jsnorm.talagrand import SeqGrid, admissible_family, eberleinize
+
+
+def _include_first_dfs(masks, values):
+    """Include-first DFS per overlap component, pruned on suffix square sums;
+    keeps the first optimum in index order."""
+    n = len(masks)
+    comp_of = [-1] * n
+    comps = []
+    for i in range(n):
+        if comp_of[i] >= 0:
+            continue
+        comp, queue = [i], [i]
+        comp_of[i] = len(comps)
+        while queue:
+            a = queue.pop()
+            for b in range(n):
+                if comp_of[b] < 0 and masks[a] & masks[b]:
+                    comp_of[b] = len(comps)
+                    comp.append(b)
+                    queue.append(b)
+        comps.append(sorted(comp))
+    total, chosen = 0, []
+    for comp in comps:
+        k = len(comp)
+        squares = [values[i] * values[i] for i in comp]
+        suffix = [0] * (k + 1)
+        for j in range(k - 1, -1, -1):
+            suffix[j] = suffix[j + 1] + squares[j]
+        best, best_pick, pick = 0, [], []
+
+        def rec(start, used, cur):
+            nonlocal best, best_pick
+            if cur > best:
+                best, best_pick = cur, list(pick)
+            for j in range(start, k):
+                if cur + suffix[j] <= best:
+                    return
+                m = masks[comp[j]]
+                if m & used:
+                    continue
+                pick.append(comp[j])
+                rec(j + 1, used | m, cur + squares[j])
+                pick.pop()
+
+        rec(0, 0, 0)
+        total += best
+        chosen.extend(best_pick)
+    return total, sorted(chosen)
+
+
+def _eberleinized(branching, length, max_size):
+    grid = SeqGrid(branching, length)
+    family, strata = admissible_family(grid, max_size)
+    return grid, eberleinize(family, strata)
+
+
+def test_random_packings_match_include_first_search():
+    rnd = random.Random(31)
+    for _ in range(600):
+        k = rnd.randint(1, 14)
+        n = rnd.randint(0, 24)
+        if rnd.random() < 0.5:
+            masks = [1 << rnd.randrange(k) | 1 << rnd.randrange(k) for _ in range(n)]
+        else:
+            masks = [rnd.randint(1, (1 << k) - 1) for _ in range(n)]
+        # Small values force ties, so the tie-break order is exercised too.
+        values = [rnd.choice([-3, -2, -1, 1, 1, 2, 2, 3, 5]) for _ in range(n)]
+        assert _best_disjoint(masks, values) == _include_first_dfs(masks, values)
+
+
+def test_ties_keep_the_first_optimum_in_index_order():
+    # 5² ties 3² + 4²: whichever optimum comes first in index order wins.
+    for masks, values, picked in [
+        ([0b011, 0b001, 0b010, 0b100], [5, 3, 4, 1], [0, 3]),
+        ([0b001, 0b010, 0b011, 0b100], [3, 4, 5, 1], [0, 1, 3]),
+    ]:
+        assert _best_disjoint(masks, values) == (26, picked)
+        assert _include_first_dfs(masks, values) == (26, picked)
+
+
+def test_norm_weighted_matches_include_first_search():
+    grid, sets = _eberleinized(3, 2, 3)
+    ground = grid.ground_set()
+    rnd = random.Random(4)
+    for _ in range(8):
+        atoms = rnd.sample(grid.elements, rnd.randint(2, 6))
+        phi = FinVector(ground, {a: Fraction(rnd.choice([-4, -2, -1, 1, 3]), rnd.randint(1, 3)) for a in atoms})
+        cands = [g for g in sets if weighted_eval(g, phi) != 0]
+        values = [weighted_eval(g, phi) for g in cands]
+        denom = math.lcm(*(v.denominator for v in values))
+        bit = {a: 1 << i for i, a in enumerate(grid.elements)}
+        masks = [sum(bit[a] for a in g.support) for g in cands]
+        best, idx = _include_first_dfs(masks, [int(v * denom) for v in values])
+        res = norm_weighted(sets, phi)
+        assert res.norm_sq == Fraction(best, denom * denom)
+        assert res.witness == tuple(cands[i] for i in idx)
+
+
+def test_branch_and_bound_path_matches_include_first_search():
+    # Admissible sets of size 2-3 without singletons clash off the support.
+    grid = SeqGrid(3, 2)
+    family, _ = admissible_family(grid, 3)
+    rnd = random.Random(9)
+    for _ in range(6):
+        atoms = rnd.sample(grid.elements, 5)
+        phi = FinVector(family.ground, {a: rnd.choice([-3, -1, 1, 2, 4]) for a in atoms})
+        pairs = [m for m in family.members if len(m) > 1 and any(a in phi.entries for a in m)]
+        values = [sum(phi.entries.get(a, 0) for a in m) for m in pairs]
+        keep = [i for i, v in enumerate(values) if v]
+        pairs = [pairs[i] for i in keep]
+        values = [int(values[i]) for i in keep]
+        bit = {a: 1 << i for i, a in enumerate(grid.elements)}
+        masks = [sum(bit[a] for a in m) for m in pairs]
+        best, _ = _include_first_dfs(masks, values)
+        assert norm_oracle(SetFamily(family.ground, pairs), phi).norm_sq == best
+
+
+def test_668_set_weighted_family_is_quick_and_exact():
+    # The include-first search took 10-20 s on such a vector; the DP's work
+    # depends only on the supports.
+    grid, sets = _eberleinized(4, 2, 4)
+    assert len(sets) == 668
+    phi = FinVector(grid.ground_set(), {"00": 3, "13": -2, "21": Fraction(1, 2), "32": 4})
+    res = norm_weighted(sets, phi)
+    used = set()
+    for g in res.witness:
+        assert not used & set(g.support)
+        used |= set(g.support)
+    assert res.norm_sq == sum(weighted_eval(g, phi) ** 2 for g in res.witness)
+    assert res.norm_sq >= max(weighted_eval(g, phi) ** 2 for g in sets)
