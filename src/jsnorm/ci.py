@@ -1,15 +1,17 @@
 """Checkers for the countably-intersected family axioms and disjointification.
 
-Condition (b) is an exact-cover search; condition (c) asks, for the trace
-s∖⋃s_ti of every short envelope tuple, how much of it a pairwise-disjoint
-packing of members can cover. Residuals above the configured bound fail the
-check with a replayable witness. All searches run over bitmasks in canonical
-atom order, so reports are deterministic.
+Condition (b) asks whether the members inside s∖t cover it exactly;
+condition (c) asks, for the trace s∖⋃s_ti of every short envelope tuple, how
+much of it a pairwise-disjoint packing of members can cover. Both read the
+largest-coverage packing of a target from ``packing.pack_first`` over
+bitmasks in canonical atom order, memoised per target, so reports are
+deterministic. Residuals above the configured bound fail the check with a
+replayable witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .core import Member, SetFamily, canonical_member
@@ -17,8 +19,8 @@ from .errors import (
     DecompositionError,
     InvalidEnvelopeError,
     ResourceLimitError,
-    UnknownMemberError,
 )
+from .packing import pack_first
 
 DEFAULT_COVER_LIMIT = 24
 DEFAULT_SAMPLE_BOUND = 3
@@ -68,6 +70,9 @@ class _Masks:
         self.atoms = atoms
         self.member_masks = [self._mask(m) for m in family.members]
         self.by_member = dict(zip(family.members, self.member_masks))
+        by_size = sorted(self.by_member.items(), key=lambda c: (-len(c[0]), c[0]))
+        self._by_size = [(mask, member) for member, mask in by_size if mask]
+        self._packings: dict[int, tuple[tuple[Member, ...], int]] = {}
 
     def _mask(self, atoms: Iterable[str]) -> int:
         m = 0
@@ -78,57 +83,23 @@ class _Masks:
     def unmask(self, mask: int) -> Member:
         return tuple(a for a in self.atoms if self.bit[a] & mask)
 
+    def packing(self, target: int) -> tuple[tuple[Member, ...], int]:
+        """Largest pairwise-disjoint packing of ``target`` by the members
+        inside it, as (parts, covered mask), memoised by target.
 
-def _packing_candidates(family: SetFamily, masks: _Masks, target: int) -> list[tuple[int, Member]]:
-    cands = [
-        (mask, member)
-        for member, mask in zip(family.members, masks.member_masks)
-        if mask and mask & ~target == 0
-    ]
-    cands.sort(key=lambda c: (-len(c[1]), c[1]))
-    return cands
-
-
-def _max_coverage_packing(cands: list[tuple[int, Member]], target: int) -> tuple[list[Member], int]:
-    """Best pairwise-disjoint packing of ``target`` by the candidate members.
-
-    Candidates must already be subsets of target. Returns (parts, covered
-    mask); the first maximal packing in candidate DFS order wins ties.
-    """
-    n = len(cands)
-    full = target.bit_count()
-    suffix_union = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        suffix_union[j] = suffix_union[j + 1] | cands[j][0]
-
-    best_parts: list[Member] = []
-    best_mask = 0
-    best_count = 0
-    stack_parts: list[Member] = []
-
-    def rec(start: int, used: int, count: int) -> bool:
-        nonlocal best_parts, best_mask, best_count
-        if count > best_count:
-            best_count = count
-            best_parts = list(stack_parts)
-            best_mask = used
-            if count == full:
-                return True
-        for j in range(start, n):
-            mask, member = cands[j]
-            if count + (suffix_union[j] & ~used).bit_count() <= best_count:
-                break
-            if mask & used:
-                continue
-            stack_parts.append(member)
-            done = rec(j + 1, used | mask, count + mask.bit_count())
-            stack_parts.pop()
-            if done:
-                return True
-        return False
-
-    rec(0, 0, 0)
-    return best_parts, best_mask
+        Among packings that cover the most atoms, the first in candidate
+        order (larger members first, then canonical order) wins.
+        """
+        hit = self._packings.get(target)
+        if hit is None:
+            cands = [(mask, member) for mask, member in self._by_size if mask & ~target == 0]
+            masks = [mask for mask, _ in cands]
+            _, picked = pack_first(masks, [m.bit_count() for m in masks])
+            covered = 0
+            for i in picked:
+                covered |= masks[i]
+            hit = self._packings[target] = (tuple(cands[i][1] for i in picked), covered)
+        return hit
 
 
 def check_condition_b(
@@ -147,10 +118,9 @@ def check_condition_b(
         raise ResourceLimitError(f"|s \\ t| = {diff.bit_count()} exceeds cover limit {cover_limit}")
     if diff == 0:
         return Decomposition(parts=())
-    cands = _packing_candidates(family, masks, diff)
-    parts, covered = _max_coverage_packing(cands, diff)
+    parts, covered = masks.packing(diff)
     if covered == diff:
-        return Decomposition(parts=tuple(parts))
+        return Decomposition(parts=parts)
     return None
 
 
@@ -221,8 +191,7 @@ def check_condition_c(
             target = s_mask & ~u
             if target == 0:
                 continue
-            cands = _packing_candidates(family, masks, target)
-            parts, covered = _max_coverage_packing(cands, target)
+            parts, covered = masks.packing(target)
             residual = (target & ~covered).bit_count()
             if residual > residual_bound:
                 return ConditionResult(
@@ -282,6 +251,7 @@ def check_ci(
     residual_bound: int = DEFAULT_RESIDUAL_BOUND,
     pair_budget: int = DEFAULT_PAIR_BUDGET,
     cover_limit: int = DEFAULT_COVER_LIMIT,
+    trace_budget: int = DEFAULT_TRACE_BUDGET,
 ) -> CiReport:
     """Run all four axioms; failing conditions carry replayable witnesses."""
     masks = _Masks(family)
@@ -313,6 +283,7 @@ def check_ci(
         envelope,
         sample_bound=sample_bound,
         residual_bound=residual_bound,
+        trace_budget=trace_budget,
         _masks=masks,
     )
 

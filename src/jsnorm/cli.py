@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import ci, norm, reznichenko, talagrand
@@ -40,7 +39,6 @@ BUDGET_DEFAULTS = {
     "trace_budget": ci.DEFAULT_TRACE_BUDGET,
     "grid_budget": talagrand.DEFAULT_GRID_BUDGET,
     "family_budget": talagrand.DEFAULT_FAMILY_BUDGET,
-    "segment_budget": reznichenko.DEFAULT_SEGMENT_BUDGET,
     "enum_budget": reznichenko.DEFAULT_ENUM_BUDGET,
 }
 
@@ -95,6 +93,7 @@ def _cmd_check_ci(args, budgets) -> tuple[dict, int]:
         sample_bound=budgets["sample_bound"],
         pair_budget=budgets["pair_budget"],
         cover_limit=budgets["cover_limit"],
+        trace_budget=budgets["trace_budget"],
     )
     payload = {"command": "check-ci", **ci.report_to_dict(report)}
     return payload, 0 if report.passed else 1
@@ -200,20 +199,39 @@ def _cmd_qe_search(args, budgets) -> tuple[dict, int]:
     return payload, 0
 
 
-def _character_strata(family) -> dict:
-    """Stratum = first differing character position; valid for digit grids
-    with branching at most 10. Singletons sit in stratum 1."""
+def _grid_strata(family) -> dict:
+    """Strata of an admissible family over a digit grid ``SeqGrid(B, L)``.
+
+    The ground must be the grid's B^L atoms of L*w characters, w =
+    len(str(B - 1)); a member's stratum is its first differing digit,
+    (first differing character) // w + 1, and singletons sit in stratum 1.
+    Where two grids name the same atoms ("00".."99" is SeqGrid(10, 2) and
+    SeqGrid(100, 1)) the narrower digits are read.
+    """
+    atoms = family.ground.elements
+    chars = len(atoms[0])
+    for width in range(1, chars + 1):
+        if chars % width == 0 and _is_digit_grid(atoms, width, chars // width):
+            break
+    else:
+        raise InputFormatError("the ground of an admissible family must be a digit grid SeqGrid(B, L)")
     strata = {}
     for m in family.members:
         if len(m) == 1:
             strata[m] = 1
             continue
-        a, b = m[0], m[1]
-        pos = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
-        if pos is None:
-            raise InputFormatError(f"members of {m!r} are not distinct sequences")
-        strata[m] = pos + 1
+        pos = next(i for i, (x, y) in enumerate(zip(m[0], m[1])) if x != y)
+        strata[m] = pos // width + 1
     return strata
+
+
+def _is_digit_grid(atoms, width: int, length: int) -> bool:
+    """True when ``atoms`` are exactly the atoms of SeqGrid(B, length) with
+    digits of ``width`` characters."""
+    b = round(len(atoms) ** (1 / length))
+    if b < 2 or b**length != len(atoms) or len(str(b - 1)) != width:
+        return False
+    return set(atoms) == set(talagrand.SeqGrid(b, length, grid_budget=len(atoms)).elements)
 
 
 def _cmd_eberleinize(args, budgets) -> tuple[dict, int]:
@@ -228,7 +246,7 @@ def _cmd_eberleinize(args, budgets) -> tuple[dict, int]:
         except (TypeError, ValueError) as exc:
             raise InputFormatError(f"malformed strata row: {exc}") from exc
     elif family.provenance == "admissible":
-        strata = _character_strata(family)
+        strata = _grid_strata(family)
     else:
         strata = {m: 1 for m in family.members}
     sets = talagrand.eberleinize(family, strata)

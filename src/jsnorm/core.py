@@ -172,13 +172,6 @@ class SetFamily:
             raise UnknownMemberError(f"{canon!r} is not a family member")
         return canon
 
-    def with_members(self, extra: Iterable[Iterable[Atom]], provenance: Optional[str] = None) -> "SetFamily":
-        return SetFamily(
-            self.ground,
-            list(self.members) + [canonical_member(m) for m in extra],
-            provenance or self.provenance,
-        )
-
     def __repr__(self) -> str:
         return f"SetFamily({len(self.members)} members, provenance={self.provenance!r})"
 

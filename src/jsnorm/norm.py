@@ -12,7 +12,7 @@ import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     FinVector,
@@ -29,6 +29,7 @@ from .errors import (
     InvalidEpsilonError,
     ResourceLimitError,
 )
+from .packing import pack, pack_first
 
 DEFAULT_ORACLE_LIMIT = 16
 DEFAULT_PRECISION = 50
@@ -80,24 +81,6 @@ def _scale_to_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [int(v * denom) for v in values], denom
 
 
-def _best_disjoint(masks: Sequence[int], values: Sequence[int]) -> tuple[int, list[int]]:
-    """Max Σ values[i]² over index sets with pairwise disjoint masks.
-
-    Values must be nonzero. Each connected component of the overlap graph is
-    solved by the subset DP over its atoms. Every square is shifted left by n
-    bits and index i adds the bit 2^(n-1-i), so distinct index sets never tie
-    and the unique optimum is the first optimal index set in lexicographic
-    order: the witness is deterministic, and the work depends on the masks,
-    not on how the values rank the sets.
-    """
-    n = len(masks)
-    if n == 0:
-        return 0, []
-    weights = [(v * v << n) | (1 << (n - 1 - i)) for i, v in enumerate(values)]
-    total, picked = _packing_by_components(masks, weights, max(m.bit_length() for m in masks))
-    return total >> n, sorted(picked)
-
-
 def _min_per_trace(members: list[Member], fmasks: list[int], tmasks: list[int]) -> list[int]:
     """Indices of inclusion-minimal members within each trace class.
 
@@ -120,120 +103,26 @@ def _min_per_trace(members: list[Member], fmasks: list[int], tmasks: list[int]) 
     return keep
 
 
-def _has_cross_conflicts(fmasks: Sequence[int], tmasks: Sequence[int]) -> bool:
-    """True when some pair overlaps outside the support but not on it."""
-    n = len(fmasks)
-    for i in range(n):
-        fi, ti = fmasks[i], tmasks[i]
-        for j in range(i + 1, n):
-            if fi & fmasks[j] and not ti & tmasks[j]:
-                return True
-    return False
+def _has_cross_conflicts(fmasks: Sequence[int], tmasks: Sequence[int], k: int) -> bool:
+    """True when some pair overlaps outside the support but not on it.
 
-
-def _component_atom_masks(tmasks: Sequence[int], k: int) -> list[int]:
-    """Union-find the support atoms linked by shared traces; one mask each."""
-    parent = list(range(k))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for tm in tmasks:
-        first = (tm & -tm).bit_length() - 1
-        rest = tm ^ (tm & -tm)
+    Such a pair shares an atom above the k support bits, so only candidates
+    sharing one of those atoms are compared.
+    """
+    sharing: dict[int, list[int]] = {}
+    for i, fm in enumerate(fmasks):
+        rest = fm >> k
         while rest:
             low = rest & -rest
-            ra, rb = find(first), find(low.bit_length() - 1)
-            if ra != rb:
-                parent[rb] = ra
+            sharing.setdefault(low, []).append(i)
             rest ^= low
-    comps: dict[int, int] = {}
-    for a in range(k):
-        r = find(a)
-        comps[r] = comps.get(r, 0) | (1 << a)
-    return [comps[r] for r in sorted(comps)]
-
-
-def _component_dp(tmasks: list[int], squares: list[int], k_c: int) -> tuple[int, list[int]]:
-    """Exact max Σ squares over candidates with disjoint masks, by subset DP.
-
-    States are masks of still-free atoms; each state either skips its
-    lowest atom or covers it with a candidate. Only the states reachable from
-    the full mask by those moves are solved: an explicit stack collects them
-    with the candidates that fit each one, then they are solved in increasing
-    mask order, so every successor (a proper submask) is solved first.
-    Candidates are scanned in canonical order with strict improvement, so
-    ties resolve the same way every run.
-    """
-    cands_by_atom: list[list[int]] = [[] for _ in range(k_c)]
-    for j, tm in enumerate(tmasks):
-        cands_by_atom[(tm & -tm).bit_length() - 1].append(j)
-    full = (1 << k_c) - 1
-    fits: dict[int, list[int]] = {0: []}
-    stack = [full]
-    while stack:
-        free = stack.pop()
-        if free in fits:
-            continue
-        low = free & -free
-        here = [j for j in cands_by_atom[low.bit_length() - 1] if tmasks[j] & free == tmasks[j]]
-        fits[free] = here
-        stack.append(free ^ low)
-        stack.extend(free ^ tmasks[j] for j in here)
-    best = {0: 0}
-    choice: dict[int, int] = {}
-    for free in sorted(fits):
-        if not free:
-            continue
-        low = free & -free
-        b = best[free ^ low]
-        c = -1
-        for j in fits[free]:
-            v = squares[j] + best[free ^ tmasks[j]]
-            if v > b:
-                b, c = v, j
-        best[free] = b
-        choice[free] = c
-    picked: list[int] = []
-    free = full
-    while free:
-        c = choice[free]
-        if c < 0:
-            free ^= free & -free
-        else:
-            picked.append(c)
-            free ^= tmasks[c]
-    return best[full], picked
-
-
-def _packing_by_components(masks: Sequence[int], weights: Sequence[int], k: int) -> tuple[int, list[int]]:
-    """Max Σ weights over index sets with pairwise disjoint masks on k atoms.
-
-    Splits the atoms into the components linked by shared masks and runs the
-    subset DP on each over its own atoms; returns the total and the picked
-    indices, unsorted.
-    """
-    total = 0
-    picked: list[int] = []
-    for cmask in _component_atom_masks(masks, k):
-        local_atoms = [a for a in range(k) if cmask >> a & 1]
-        local_bit = {a: 1 << i for i, a in enumerate(local_atoms)}
-        local_idx = [j for j, m in enumerate(masks) if m & cmask]
-        local_masks = []
-        for j in local_idx:
-            m, lm = masks[j], 0
-            while m:
-                low = m & -m
-                lm |= local_bit[low.bit_length() - 1]
-                m ^= low
-            local_masks.append(lm)
-        b, p = _component_dp(local_masks, [weights[j] for j in local_idx], len(local_atoms))
-        total += b
-        picked.extend(local_idx[q] for q in p)
-    return total, picked
+    for idxs in sharing.values():
+        for x, i in enumerate(idxs):
+            ti = tmasks[i]
+            for j in idxs[x + 1 :]:
+                if not ti & tmasks[j]:
+                    return True
+    return False
 
 
 def norm_oracle(
@@ -294,12 +183,13 @@ def norm_oracle(
     fmasks = [cand_fmasks[i] for i in keep]
     tmasks = [cand_tmasks[i] for i in keep]
 
-    if _has_cross_conflicts(fmasks, tmasks):
-        best, idx = _best_disjoint(fmasks, values)
+    squares = [v * v for v in values]
+    if _has_cross_conflicts(fmasks, tmasks, k):
+        best, idx = pack_first(fmasks, squares)
         witness = sort_members(members[i] for i in idx)
         return NormResult(Fraction(best, denom * denom), witness, "oracle")
 
-    total, picked = _packing_by_components(tmasks, [v * v for v in values], k)
+    total, picked = pack(tmasks, squares)
     witness = sort_members(members[i] for i in picked)
     return NormResult(Fraction(total, denom * denom), witness, "oracle")
 
@@ -416,7 +306,7 @@ def norm_weighted(
             mask |= bit[a]
         cand_masks.append(mask)
 
-    best, idx = _best_disjoint(cand_masks, cand_values)
+    best, idx = pack_first(cand_masks, [v * v for v in cand_values])
     return NormResult(Fraction(best, denom * denom), tuple(cands[i] for i in idx), "oracle")
 
 

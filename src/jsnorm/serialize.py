@@ -32,17 +32,6 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
-def ground_to_dict(ground: GroundSet) -> dict:
-    return {"elements": list(ground.elements)}
-
-
-def ground_from_dict(payload: Mapping) -> GroundSet:
-    try:
-        return GroundSet(payload["elements"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad ground set payload: {exc}") from exc
-
-
 def family_to_dict(family: SetFamily) -> dict:
     return {
         "ground": list(family.ground.elements),
@@ -99,15 +88,6 @@ def tree_from_dict(payload: Mapping) -> FiniteTree:
 
 def weighted_to_dict(wset: WeightedSet) -> dict:
     return {"weights": {a: format_fraction(v) for a, v in wset.weights.items()}}
-
-
-def weighted_from_dict(payload: Mapping, ground: GroundSet) -> WeightedSet:
-    try:
-        return WeightedSet(ground, {a: parse_fraction(v) for a, v in payload["weights"].items()})
-    except InputFormatError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise InputFormatError(f"bad weighted set payload: {exc}") from exc
 
 
 def weighted_family_to_dict(sets: list[WeightedSet], ground: GroundSet) -> dict:

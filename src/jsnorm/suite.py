@@ -17,12 +17,12 @@ from math import isqrt
 from typing import Optional, Sequence
 
 from . import ci as ci_mod
+from .cli import BUDGET_DEFAULTS as DEFAULT_SUITE_BUDGETS
 from .core import (
     FinVector,
     GroundSet,
     Member,
     SetFamily,
-    canonical_member,
     dyadic_tree,
     tree_segments,
     unit_vector,
@@ -52,18 +52,6 @@ from .talagrand import (
     qe_partition_search,
     saturation_partition,
 )
-
-DEFAULT_SUITE_BUDGETS = {
-    "oracle_limit": 16,
-    "cover_limit": 24,
-    "sample_bound": 3,
-    "pair_budget": 200_000,
-    "trace_budget": 200_000,
-    "grid_budget": 4096,
-    "family_budget": 10**6,
-    "segment_budget": 200_000,
-    "enum_budget": 100_000,
-}
 
 
 def _rand_fraction(rnd: random.Random, num_lo=-3, num_hi=3, den_hi=4) -> Fraction:
@@ -287,6 +275,7 @@ def criterion_5_ci_suite(seed: int, budgets: dict) -> dict:
             sample_bound=budgets["sample_bound"],
             pair_budget=budgets["pair_budget"],
             cover_limit=budgets["cover_limit"],
+            trace_budget=budgets["trace_budget"],
         )
         if not report.passed:
             base_failures.append(depth)
@@ -303,6 +292,7 @@ def criterion_5_ci_suite(seed: int, budgets: dict) -> dict:
             sample_bound=budgets["sample_bound"],
             pair_budget=budgets["pair_budget"],
             cover_limit=budgets["cover_limit"],
+            trace_budget=budgets["trace_budget"],
         )
         if report.passed:
             deletions["still_pass"] += 1

@@ -1,4 +1,4 @@
-"""The component DP behind norm_weighted and branch and bound, against the
+"""The packing kernel behind norm_weighted and branch and bound, against the
 include-first search it replaced."""
 
 import math
@@ -6,7 +6,8 @@ import random
 from fractions import Fraction
 
 from jsnorm.core import FinVector, SetFamily
-from jsnorm.norm import _best_disjoint, norm_oracle, norm_weighted, weighted_eval
+from jsnorm.norm import norm_oracle, norm_weighted, weighted_eval
+from jsnorm.packing import pack_first
 from jsnorm.talagrand import SeqGrid, admissible_family, eberleinize
 
 
@@ -56,6 +57,11 @@ def _include_first_dfs(masks, values):
         total += best
         chosen.extend(best_pick)
     return total, sorted(chosen)
+
+
+def _best_disjoint(masks, values):
+    """Max Σ values[i]² over disjoint masks, first optimum in index order."""
+    return pack_first(masks, [v * v for v in values])
 
 
 def _eberleinized(branching, length, max_size):

@@ -278,6 +278,27 @@ def test_eberleinize_command(capsys, inputs):
     assert {"0": "1/1"} in payload["weighted"]
 
 
+def test_eberleinize_strata_on_a_wide_digit_grid(capsys, tmp_path):
+    # B = 11 pads digits to two characters: strata count digits, not characters.
+    family, strata = admissible_family(SeqGrid(11, 2), max_size=2)
+    path = tmp_path / "adm11.json"
+    path.write_text(canonical_json(family_to_dict(family)))
+    code, payload = run(capsys, ["eberleinize", "--family", str(path)])
+    assert code == 0
+    assert len(payload["weighted"]) == len(family.members) == 7381
+    for m, row in zip(family.members, payload["weighted"]):
+        assert row == {a: f"1/{strata[m]}" for a in m}
+
+
+def test_eberleinize_admissible_family_off_a_digit_grid_exits_2(capsys, tmp_path):
+    for ground in (["0", "1", "x"], ["00", "01", "10"], ["0", "1", "10", "11"]):
+        path = tmp_path / "adm.json"
+        path.write_text(canonical_json({"ground": ground, "members": [[a] for a in ground], "provenance": "admissible"}))
+        code, payload = run(capsys, ["eberleinize", "--family", str(path)])
+        assert code == 2
+        assert payload["error"]["code"] == "input-format"
+
+
 def test_saturate_command(capsys, inputs):
     code, payload = run(capsys, ["saturate", "--supports", inputs["supports.json"]])
     assert code == 0
@@ -297,6 +318,19 @@ def test_env_budget_override(capsys, inputs, monkeypatch):
 
 def test_env_budget_unknown_key_exits_2(capsys, inputs, monkeypatch):
     monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"bogus": 5}')
+    code, _ = run(capsys, ["check-ci", "--family", inputs["family.json"]])
+    assert code == 2
+
+
+def test_env_trace_budget_reaches_condition_c(capsys, inputs, monkeypatch):
+    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"trace_budget": 1}')
+    code, payload = run(capsys, ["check-ci", "--family", inputs["family.json"]])
+    assert code == 3
+    assert "trace budget 1" in payload["error"]["message"]
+
+
+def test_env_segment_budget_is_not_a_budget(capsys, inputs, monkeypatch):
+    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"segment_budget": 5}')
     code, _ = run(capsys, ["check-ci", "--family", inputs["family.json"]])
     assert code == 2
 

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from jsnorm import norm
+from jsnorm import packing
 from jsnorm.core import FiniteTree, FinVector, GroundSet, SetFamily, dyadic_tree, tree_segments
 from jsnorm.norm import norm_oracle, norm_tree_dp
 
-# Bound before any test spies on norm._component_dp.
-_reachable_dp = norm._component_dp
+# Bound before any test spies on packing._component_dp.
+_reachable_dp = packing._component_dp
 
 
 def _full_table_dp(tmasks, squares, k_c):
@@ -54,7 +54,7 @@ def recorded(monkeypatch):
         calls.append((list(tmasks), list(squares), k_c))
         return _reachable_dp(tmasks, squares, k_c)
 
-    monkeypatch.setattr(norm, "_component_dp", spy)
+    monkeypatch.setattr(packing, "_component_dp", spy)
     return calls
 
 

@@ -24,6 +24,7 @@ from jsnorm.errors import (
 )
 from jsnorm.norm import (
     DecreasingL2Seq,
+    _has_cross_conflicts,
     DualCombination,
     dual_eval,
     functional_eval,
@@ -324,3 +325,27 @@ def test_functional_bound(seed):
     nsq = norm_oracle(fam, phi).norm_sq
     m = rnd.choice(fam.members)
     assert functional_eval(m, phi) ** 2 <= nsq
+
+
+def _all_pairs_cross_conflicts(fmasks, tmasks):
+    """The all-pairs scan that the per-atom buckets replaced."""
+    n = len(fmasks)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if fmasks[i] & fmasks[j] and not tmasks[i] & tmasks[j]:
+                return True
+    return False
+
+
+def test_cross_conflicts_match_all_pairs_scan():
+    rnd = random.Random(17)
+    found = 0
+    for _ in range(2000):
+        k = rnd.randint(1, 8)
+        off = rnd.randint(0, 6)
+        tmasks = [rnd.randint(1, (1 << k) - 1) for _ in range(rnd.randint(0, 12))]
+        fmasks = [tm | rnd.randint(0, (1 << off) - 1) << k for tm in tmasks]
+        expected = _all_pairs_cross_conflicts(fmasks, tmasks)
+        assert _has_cross_conflicts(fmasks, tmasks, k) == expected
+        found += expected
+    assert 100 < found < 1900

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jsnorm.core import SetFamily
 from jsnorm.errors import (
     IndexOutOfRangeError,
     InputFormatError,
@@ -142,7 +143,7 @@ def test_segment_family_and_strata():
 def test_segment_strata_rejects_non_segments():
     sys = small_system()
     fam = segment_family(sys, adjoin_ground=True)
-    bogus = fam.with_members([("0:1", "0:2")])
+    bogus = SetFamily(fam.ground, list(fam.members) + [("0:1", "0:2")], fam.provenance)
     with pytest.raises(MissingStratumError):
         segment_strata(sys, bogus)
 

@@ -12,7 +12,6 @@ from jsnorm.serialize import (
     family_from_dict,
     family_to_dict,
     format_fraction,
-    ground_to_dict,
     parse_fraction,
     partition_from_dict,
     supports_from_dict,
