@@ -62,7 +62,7 @@ def _resolve_budgets(args) -> dict[str, int]:
     if getattr(args, "oracle_limit", None) is not None:
         budgets["oracle_limit"] = args.oracle_limit
     for key, value in budgets.items():
-        if not isinstance(value, int) or value <= 0:
+        if type(value) is not int or value <= 0:
             raise ResourceLimitError(f"budget {key} must be a positive integer, got {value!r}")
     return budgets
 

@@ -279,9 +279,6 @@ class FiniteTree:
             best = max(best, depths[node])
         return best
 
-    def comparable(self, a: Atom, b: Atom) -> bool:
-        return a in self.ancestors(b) or b in self.ancestors(a)
-
     def segment(self, low: Atom, high: Atom) -> Member:
         """The chain [low, high]; low must be an ancestor of high."""
         chain = self.ancestors(high)

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .talagrand import validate_partition
 
-DEFAULT_SEGMENT_BUDGET = 200_000
+SEGMENT_BUDGET = 200_000
 DEFAULT_ENUM_BUDGET = 100_000
 SAMPLE_RETRIES = 64
 
@@ -248,135 +248,95 @@ def build(params: ReznParams, enum_budget: int = DEFAULT_ENUM_BUDGET) -> ReznSys
     return ReznSystem(params=params, gamma=gamma, trees=trees, stage_log=tuple(log))
 
 
-def _comparable_pairs(tree: FiniteTree) -> set[frozenset]:
-    """All unordered pairs of distinct comparable nodes.
+def verify_system(sys: ReznSystem, *, full: bool = True) -> dict:
+    """Re-check the construction invariants exhaustively; returns a per-check report.
 
-    Two root-anchored chains of different trees share two points exactly when
-    some such pair is comparable in both trees, so intersecting these sets
-    across trees decides near-disjointness without walking every chain pair.
+    Every logged extension and every pair of trees is checked. ``full`` must
+    be True; it stays only for callers written when a sampled mode existed.
     """
-    out: set[frozenset] = set()
-    for v in tree.nodes:
-        chain = tree.ancestors(v)
-        for u in chain[1:]:
-            out.add(frozenset((u, v)))
-    return out
-
-
-def verify_system(
-    sys: ReznSystem,
-    sample: int = 1000,
-    rng_seed: Optional[int] = None,
-    full: bool = False,
-) -> dict:
-    """Re-check the construction invariants; returns a per-check report.
-
-    With ``full`` set, extension and near-disjointness checks scan everything
-    instead of sampling.
-    """
+    if full is not True:
+        raise ValueError("verify_system is always exhaustive; full must be True")
     params = sys.params
-    checks: dict[str, dict] = {}
+    trees = {n: sys.tree(n) for n in range(1, params.n_trees + 1)}
+    key = {v: node_key(v) for v in set().union(*(t.nodes for t in trees.values()))}
+    # proper ancestors of every node, nearest first, for the extension and
+    # near-disjointness checks
+    above = {n: {v: t.ancestors(v)[1:] for v in t.nodes} for n, t in sys.trees.items()}
 
-    bound_failures = []
-    for n in range(1, params.n_trees + 1):
-        tree = sys.tree(n)
-        if set(tree.roots) != {node_name(0, n)}:
-            bound_failures.append({"tree": n, "roots": list(tree.roots)})
-        for v in tree.nodes:
-            stage, label = node_key(v)
-            if not (0 <= stage < params.stages and 0 <= label < params.label_pool):
-                bound_failures.append({"tree": n, "node": v})
-    checks["bounds"] = {"passed": not bound_failures, "failures": bound_failures[:5]}
-
-    stage_failures = []
-    added: dict[int, set[str]] = {n: set() for n in range(1, params.n_trees + 1)}
+    added: dict[int, set[str]] = {n: set() for n in trees}
+    ext_failures = []
+    ext_checked = 0
     for rec in sys.stage_log:
         for sat in rec.satisfied:
             node = node_name(rec.stage, sat.label)
-            for n in sat.request.trees:
-                added[n].add(node)
-    for n in range(1, params.n_trees + 1):
-        tree = sys.tree(n)
-        non_roots = set(tree.nodes) - {node_name(0, n)}
-        if non_roots != added[n]:
-            stage_failures.append({"tree": n, "log_mismatch": True})
-        for v in tree.nodes:
-            p = tree.parent[v]
-            if p is not None and node_key(p)[0] >= node_key(v)[0]:
-                stage_failures.append({"tree": n, "node": v, "parent": p})
-    checks["stage_monotone"] = {"passed": not stage_failures, "failures": stage_failures[:5]}
-
-    all_sat = [
-        (rec.stage, sat) for rec in sys.stage_log for sat in rec.satisfied
-    ]
-    rng = Lcg64(params.rng_seed if rng_seed is None else rng_seed)
-    ext_failures = []
-    ext_checked = 0
-    if all_sat:
-        if full:
-            picks = all_sat
-        else:
-            picks = [
-                all_sat[rng.bounded(len(all_sat))]
-                for _ in range(min(sample, len(all_sat) * 4))
-            ]
-        for stage, sat in picks:
-            node = node_name(stage, sat.label)
             ext_checked += 1
             for n, seg in zip(sat.request.trees, sat.request.segments):
-                tree = sys.tree(n)
-                chain = tree.ancestors(node)
-                if set(chain[1:]) != set(seg) or tree.parent[node] != max(seg, key=node_key):
+                added[n].add(node)
+                up = above[n][node]
+                if set(up) != set(seg) or up[0] != max(seg, key=key.__getitem__):
                     ext_failures.append({"tree": n, "node": node, "segment": list(seg)})
-    checks["extensions"] = {
-        "passed": not ext_failures,
-        "checked": ext_checked,
-        "failures": ext_failures[:5],
-    }
 
-    nd_failures = []
-    nd_checked = 0
-    if full or params.stages <= 6:
-        pair_sets = {n: _comparable_pairs(sys.tree(n)) for n in sys.trees}
-        for n, m in itertools.combinations(sorted(pair_sets), 2):
-            nd_checked += 1
-            clash = pair_sets[n] & pair_sets[m]
-            if clash:
-                pair = sorted(sorted(p) for p in clash)[0]
-                nd_failures.append({"trees": [n, m], "nodes": pair})
-        mode = "exhaustive"
-    else:
-        for _ in range(sample):
-            n = 1 + rng.bounded(params.n_trees)
-            m = 1 + rng.bounded(params.n_trees)
-            if n == m:
-                continue
-            tn, tm = sys.tree(n), sys.tree(m)
-            a = tn.nodes[rng.bounded(len(tn.nodes))]
-            b = tm.nodes[rng.bounded(len(tm.nodes))]
-            nd_checked += 1
-            shared = set(tn.ancestors(a)) & set(tm.ancestors(b))
-            if len(shared) > 1:
-                nd_failures.append({"trees": [n, m], "nodes": sorted(shared)[:2]})
-        mode = "sampled"
-    checks["near_disjoint"] = {
-        "passed": not nd_failures,
-        "checked": nd_checked,
-        "mode": mode,
-        "failures": nd_failures[:5],
-    }
+    bound_failures = []
+    stage_failures = []
+    for n, tree in trees.items():
+        root = node_name(0, n)
+        if set(tree.roots) != {root}:
+            bound_failures.append({"tree": n, "roots": list(tree.roots)})
+        if set(tree.nodes) - {root} != added[n]:
+            stage_failures.append({"tree": n, "log_mismatch": True})
+        for v in tree.nodes:
+            stage, label = key[v]
+            if not (0 <= stage < params.stages and 0 <= label < params.label_pool):
+                bound_failures.append({"tree": n, "node": v})
+            p = tree.parent[v]
+            if p is not None and key[p][0] >= stage:
+                stage_failures.append({"tree": n, "node": v, "parent": p})
 
-    checks["passed"] = all(
-        c["passed"] for name, c in checks.items() if isinstance(c, dict)
-    )
+    # Two root chains of different trees share two points exactly when some
+    # pair of nodes is comparable in both trees. A pair's key is built from
+    # node ids in name order, so the least key is the least sorted name pair.
+    names = sorted({v for t in sys.trees.values() for v in t.nodes})
+    width = len(names)
+    ids = {v: i for i, v in enumerate(names)}
+    first: dict[int, int] = {}  # pair key -> first tree holding the pair
+    holders: dict[int, list[int]] = {}  # only for pairs held by several trees
+    for n in sorted(sys.trees):
+        for v, up in above[n].items():
+            i = ids[v]
+            for j in map(ids.__getitem__, up):
+                k = i * width + j if i < j else j * width + i
+                m = first.setdefault(k, n)
+                if m != n:
+                    holders.setdefault(k, [m]).append(n)
+    clashes: dict[tuple[int, int], int] = {}
+    for k, ns in holders.items():
+        for pair in itertools.combinations(ns, 2):
+            clashes[pair] = min(k, clashes.get(pair, k))
+    nd_failures = [
+        {"trees": list(pair), "nodes": [names[k // width], names[k % width]]}
+        for pair, k in sorted(clashes.items())
+    ]
+
+    checks = {
+        "bounds": {"passed": not bound_failures, "failures": bound_failures[:5]},
+        "stage_monotone": {"passed": not stage_failures, "failures": stage_failures[:5]},
+        "extensions": {
+            "passed": not ext_failures,
+            "checked": ext_checked,
+            "failures": ext_failures[:5],
+        },
+        "near_disjoint": {
+            "passed": not nd_failures,
+            "checked": len(sys.trees) * (len(sys.trees) - 1) // 2,
+            "mode": "exhaustive",
+            "failures": nd_failures[:5],
+        },
+    }
+    checks["passed"] = all(c["passed"] for c in checks.values())
     return checks
 
 
-def segment_family(
-    sys: ReznSystem,
-    adjoin_ground: bool = False,
-    segment_budget: int = DEFAULT_SEGMENT_BUDGET,
-) -> SetFamily:
+def segment_family(sys: ReznSystem, adjoin_ground: bool = False) -> SetFamily:
     """Every chain of every tree as a set family; optionally all ground
     singletons are adjoined so the family covers unused atoms too."""
     members: set[Member] = set()
@@ -386,13 +346,13 @@ def segment_family(
             chain = tree.ancestors(w)
             for i in range(1, len(chain) + 1):
                 members.add(canonical_member(chain[:i]))
-                if len(members) > segment_budget:
-                    raise ResourceLimitError(f"segment count exceeds budget {segment_budget}")
+                if len(members) > SEGMENT_BUDGET:
+                    raise ResourceLimitError(f"segment count exceeds budget {SEGMENT_BUDGET}")
     if adjoin_ground:
         for a in sys.gamma.elements:
             members.add((a,))
-            if len(members) > segment_budget:
-                raise ResourceLimitError(f"segment count exceeds budget {segment_budget}")
+            if len(members) > SEGMENT_BUDGET:
+                raise ResourceLimitError(f"segment count exceeds budget {SEGMENT_BUDGET}")
     return SetFamily(sys.gamma, members, provenance="reznichenko")
 
 
@@ -619,7 +579,7 @@ def system_from_dict(payload: dict) -> ReznSystem:
             )
             for rec in payload["stage_log"]
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed system payload: {exc}") from exc
     gamma = GroundSet(
         node_name(s, t) for s in range(params.stages) for t in range(params.label_pool)

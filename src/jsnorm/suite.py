@@ -420,7 +420,7 @@ def criterion_8_reznichenko(seed: int, budgets: dict) -> dict:
     t0 = time.perf_counter()
     system = build(params, enum_budget=budgets["enum_budget"])
     build_s = time.perf_counter() - t0
-    report = verify_system(system, sample=500, full=True)
+    report = verify_system(system)
 
     atoms = system.gamma.elements
     search_bad = 0

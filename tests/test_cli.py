@@ -251,6 +251,32 @@ def test_search_partition_reports_none(capsys, tmp_path):
     assert payload["witness"] is None
 
 
+@pytest.mark.parametrize("fault", ["cycle", "no-root", "tree-key"])
+def test_search_partition_bad_tree_exits_2(capsys, tmp_path, fault):
+    out = tmp_path / "sys.json"
+    cli.main(
+        ["build-reznichenko", "--trees", "2", "--stages", "3", "--pool", "4", "--seed", "7", "--out", str(out)]
+    )
+    capsys.readouterr()
+    system = json.loads(out.read_text())["system"]
+    tree = system["trees"]["1"]
+    if fault == "cycle":
+        tree["0:1"] = "1:0"
+    elif fault == "no-root":
+        tree["0:1"] = "0:1"
+    else:
+        system["trees"]["one"] = system["trees"].pop("1")
+    out.write_text(canonical_json(system))
+    part = tmp_path / "part.json"
+    part.write_text(canonical_json({"blocks": [[f"{s}:{t}" for s in range(3) for t in range(4)]]}))
+    code, payload = run(
+        capsys,
+        ["search-partition", "--system", str(out), "--partition", str(part), "--threshold", "2"],
+    )
+    assert code == 2
+    assert payload["error"]["code"] == "input-format"
+
+
 def test_qe_search_command(capsys, inputs):
     code, payload = run(
         capsys,
@@ -339,6 +365,16 @@ def test_env_budget_nonpositive_exits_3(capsys, inputs, monkeypatch):
     monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"cover_limit": 0}')
     code, _ = run(capsys, ["check-ci", "--family", inputs["family.json"]])
     assert code == 3
+
+
+def test_env_budget_bool_is_rejected(capsys, inputs, monkeypatch):
+    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"oracle_limit": true}')
+    code, payload = run(
+        capsys,
+        ["norm", "--family", inputs["family.json"], "--vector", inputs["vector.json"]],
+    )
+    assert code == 3
+    assert "oracle_limit must be a positive integer" in payload["error"]["message"]
 
 
 def test_env_budget_malformed_json_exits_2(capsys, inputs, monkeypatch):

@@ -1,10 +1,12 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jsnorm.core import SetFamily
+from jsnorm.core import FiniteTree, SetFamily
 from jsnorm.errors import (
     IndexOutOfRangeError,
     InputFormatError,
@@ -14,7 +16,7 @@ from jsnorm.errors import (
 from jsnorm.reznichenko import (
     Lcg64,
     ReznParams,
-    _comparable_pairs,
+    ReznSystem,
     _is_segment_of,
     build,
     levels_partition,
@@ -27,6 +29,89 @@ from jsnorm.reznichenko import (
     system_to_dict,
     verify_system,
 )
+
+
+def _comparable_pairs(tree: FiniteTree) -> set[frozenset]:
+    """All unordered pairs of distinct comparable nodes."""
+    out: set[frozenset] = set()
+    for v in tree.nodes:
+        chain = tree.ancestors(v)
+        for u in chain[1:]:
+            out.add(frozenset((u, v)))
+    return out
+
+
+def _reference_verify(sys: ReznSystem) -> dict:
+    """Reference for ``verify_system``: chains are walked and keys parsed
+    afresh in each check, and near-disjointness intersects the
+    comparable-pair sets of every pair of trees."""
+    params = sys.params
+    checks: dict[str, dict] = {}
+
+    bound_failures = []
+    for n in range(1, params.n_trees + 1):
+        tree = sys.tree(n)
+        if set(tree.roots) != {node_name(0, n)}:
+            bound_failures.append({"tree": n, "roots": list(tree.roots)})
+        for v in tree.nodes:
+            stage, label = node_key(v)
+            if not (0 <= stage < params.stages and 0 <= label < params.label_pool):
+                bound_failures.append({"tree": n, "node": v})
+    checks["bounds"] = {"passed": not bound_failures, "failures": bound_failures[:5]}
+
+    stage_failures = []
+    added: dict[int, set[str]] = {n: set() for n in range(1, params.n_trees + 1)}
+    for rec in sys.stage_log:
+        for sat in rec.satisfied:
+            node = node_name(rec.stage, sat.label)
+            for n in sat.request.trees:
+                added[n].add(node)
+    for n in range(1, params.n_trees + 1):
+        tree = sys.tree(n)
+        non_roots = set(tree.nodes) - {node_name(0, n)}
+        if non_roots != added[n]:
+            stage_failures.append({"tree": n, "log_mismatch": True})
+        for v in tree.nodes:
+            p = tree.parent[v]
+            if p is not None and node_key(p)[0] >= node_key(v)[0]:
+                stage_failures.append({"tree": n, "node": v, "parent": p})
+    checks["stage_monotone"] = {"passed": not stage_failures, "failures": stage_failures[:5]}
+
+    ext_failures = []
+    ext_checked = 0
+    for rec in sys.stage_log:
+        for sat in rec.satisfied:
+            node = node_name(rec.stage, sat.label)
+            ext_checked += 1
+            for n, seg in zip(sat.request.trees, sat.request.segments):
+                tree = sys.tree(n)
+                chain = tree.ancestors(node)
+                if set(chain[1:]) != set(seg) or tree.parent[node] != max(seg, key=node_key):
+                    ext_failures.append({"tree": n, "node": node, "segment": list(seg)})
+    checks["extensions"] = {
+        "passed": not ext_failures,
+        "checked": ext_checked,
+        "failures": ext_failures[:5],
+    }
+
+    nd_failures = []
+    nd_checked = 0
+    pair_sets = {n: _comparable_pairs(sys.tree(n)) for n in sys.trees}
+    for n, m in itertools.combinations(sorted(pair_sets), 2):
+        nd_checked += 1
+        clash = pair_sets[n] & pair_sets[m]
+        if clash:
+            pair = sorted(sorted(p) for p in clash)[0]
+            nd_failures.append({"trees": [n, m], "nodes": pair})
+    checks["near_disjoint"] = {
+        "passed": not nd_failures,
+        "checked": nd_checked,
+        "mode": "exhaustive",
+        "failures": nd_failures[:5],
+    }
+
+    checks["passed"] = all(c["passed"] for c in checks.values())
+    return checks
 
 
 def small_system(**kw):
@@ -105,15 +190,107 @@ def test_level_map_and_tree_access():
 def test_verify_system_passes_on_builds():
     for seed in (0, 3):
         sys = small_system(rng_seed=seed)
-        report = verify_system(sys, sample=200)
+        report = verify_system(sys)
         assert report["passed"], report
         assert report["near_disjoint"]["mode"] == "exhaustive"
 
 
-def test_verify_default_build_samples():
+def test_verify_larger_build_passes():
     sys = build(ReznParams(n_trees=4, stages=8, label_pool=12, rng_seed=5))
-    report = verify_system(sys, sample=100, rng_seed=1)
+    report = verify_system(sys)
     assert report["passed"]
+
+
+def test_verify_full_must_be_true():
+    sys = small_system()
+    assert verify_system(sys, full=True) == verify_system(sys)
+    with pytest.raises(ValueError):
+        verify_system(sys, full=False)
+
+
+@pytest.mark.parametrize(
+    "shape", [(8, 32, 64), (2, 32, 64), (3, 24, 128), (16, 64, 128)], ids=lambda s: "/".join(map(str, s))
+)
+def test_verify_matches_reference_on_benchmark_shapes(shape):
+    n_trees, stages, label_pool = shape
+    sys = build(ReznParams(n_trees=n_trees, stages=stages, label_pool=label_pool, rng_seed=1))
+    report = verify_system(sys)
+    assert report["passed"]
+    assert report == _reference_verify(sys)
+
+
+def _descendants(parent: dict, v: str) -> set[str]:
+    kids: dict = {}
+    for a, p in parent.items():
+        kids.setdefault(p, []).append(a)
+    out, stack = set(), [v]
+    while stack:
+        a = stack.pop()
+        out.add(a)
+        stack.extend(kids.get(a, ()))
+    return out
+
+
+def _corrupt(sys: ReznSystem, rnd: random.Random) -> tuple[ReznSystem, set[str]]:
+    """Apply one to three random edits to the trees, leaving the log alone.
+
+    graft: hang a node under another node of its tree (not a descendant).
+    invert: a node and its parent trade places on their edge.
+    swap: a node and its parent trade names, so each takes the other's
+    children; both of the last two put a later stage above an earlier one.
+    """
+    trees = dict(sys.trees)
+    kinds = set()
+    for _ in range(rnd.randint(1, 3)):
+        n = rnd.choice(sorted(trees))
+        parent = dict(trees[n].parent)
+        inner = sorted(v for v, p in parent.items() if p is not None)
+        if not inner:
+            continue
+        v = rnd.choice(inner)
+        p = parent[v]
+        kind = rnd.choice(["graft", "invert", "swap"])
+        if kind == "graft":
+            parent[v] = rnd.choice(sorted(set(parent) - _descendants(parent, v)))
+        elif parent[p] is None:
+            continue
+        elif kind == "invert":
+            parent[v], parent[p] = parent[p], v
+        else:
+            swap = {v: p, p: v}
+            parent = {swap.get(a, a): swap.get(b, b) for a, b in parent.items()}
+        kinds.add(kind)
+        trees[n] = FiniteTree(parent)
+    return dataclasses.replace(sys, trees=trees), kinds
+
+
+def test_verify_matches_reference_on_corrupted_systems():
+    rnd = random.Random(0)
+    failed = {"near_disjoint": 0, "inverted_near_disjoint": 0, "extensions": 0, "stage_monotone": 0}
+    cases = 0
+    for shape in [(3, 6, 10), (4, 8, 12), (5, 7, 16)]:
+        for seed in range(3):
+            n_trees, stages, label_pool = shape
+            base = build(ReznParams(n_trees=n_trees, stages=stages, label_pool=label_pool, rng_seed=seed))
+            for _ in range(15):
+                bad, kinds = _corrupt(base, rnd)
+                report = verify_system(bad)
+                assert report == _reference_verify(bad), kinds
+                cases += bool(kinds)
+                for check in ("near_disjoint", "extensions", "stage_monotone"):
+                    failed[check] += not report[check]["passed"]
+                if kinds <= {"invert", "swap"} and not report["near_disjoint"]["passed"]:
+                    failed["inverted_near_disjoint"] += 1
+    assert cases >= 100
+    assert failed["near_disjoint"] >= 20 and failed["inverted_near_disjoint"] >= 5, failed
+    assert failed["extensions"] >= 50 and failed["stage_monotone"] >= 20, failed
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**20))
+def test_verify_matches_reference_across_seeds(seed):
+    sys = build(ReznParams(n_trees=4, stages=6, label_pool=12, rng_seed=seed))
+    assert verify_system(sys) == _reference_verify(sys)
 
 
 def test_near_disjointness_exhaustive_on_small_build():
@@ -234,7 +411,7 @@ def test_default_build_contract():
 @given(st.integers(0, 2**20))
 def test_builds_verify_across_seeds(seed):
     sys = build(ReznParams(n_trees=3, stages=4, label_pool=8, rng_seed=seed))
-    report = verify_system(sys, sample=50, rng_seed=0)
+    report = verify_system(sys)
     assert report["passed"]
 
 
