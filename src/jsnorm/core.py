@@ -7,6 +7,8 @@ Tree nodes (n, k) are spelled as the atom "n:k".
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -115,6 +117,31 @@ def unit_vector(ground: GroundSet, atom: Atom) -> FinVector:
     return FinVector(ground, {atom: Fraction(1)})
 
 
+def _is_canonical(ground: GroundSet, members: tuple[tuple, ...]) -> bool:
+    """True when ``members`` is already the canonical family: nonempty sorted
+    atom tuples without repeats, strictly increasing, all inside ``ground``.
+
+    Each check runs in C over the whole family and streams; an unordered
+    family fails the increasing check at its first descent.
+    """
+    try:
+        return (
+            all(members)
+            and all(map(operator.lt, members, itertools.islice(members, 1, None)))
+            and all(map(operator.eq, members, map(tuple, map(sorted, members))))
+            and sum(map(len, map(set, members))) == sum(map(len, members))
+            and ground._index.issuperset(itertools.chain.from_iterable(members))
+        )
+    except TypeError:  # unorderable or unhashable atoms: the general path reports them
+        return False
+
+
+def _typed_atoms(member: tuple) -> list[tuple[str, object]]:
+    """Sort key that orders string members as usual and never compares atoms
+    of different types."""
+    return [(type(a).__name__, a) for a in member]
+
+
 class SetFamily:
     """Finite family of nonempty subsets of a ground set.
 
@@ -135,16 +162,21 @@ class SetFamily:
     ):
         if provenance not in self.PROVENANCE_TAGS:
             raise ValueError(f"unknown provenance tag {provenance!r}")
-        canon = {canonical_member(m) for m in members}
-        if with_singletons:
-            canon.update((a,) for a in ground.elements)
-        if () in canon:
-            raise ValueError("the empty set cannot be a family member")
-        for m in canon:
-            if not ground.covers(m):
+        given = tuple(map(tuple, members))
+        if with_singletons or not _is_canonical(ground, given):
+            canon = {canonical_member(m) for m in given}
+            if with_singletons:
+                canon.update((a,) for a in ground.elements)
+            if () in canon:
+                raise ValueError("the empty set cannot be a family member")
+            outside = [m for m in canon if not ground.covers(m)]
+            if outside:
+                # the least one, so the message does not hang on set order
+                m = min(outside, key=_typed_atoms)
                 raise ValueError(f"member {m!r} is not a subset of the ground set")
+            given = tuple(sorted(canon))
         self.ground = ground
-        self.members = tuple(sorted(canon))
+        self.members = given
         self.provenance = provenance
         self._member_set = frozenset(self.members)
         self._frozen: Optional[tuple[frozenset, ...]] = None

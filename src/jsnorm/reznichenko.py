@@ -91,12 +91,8 @@ class ExtensionRequest:
     def __post_init__(self):
         if len(self.trees) != len(self.segments):
             raise InputFormatError("one segment per requested tree")
-        seen: set[str] = set()
-        for seg in self.segments:
-            for a in seg:
-                if a in seen:
-                    raise InputFormatError("request segments must be pairwise disjoint")
-                seen.add(a)
+        if len(set(itertools.chain.from_iterable(self.segments))) != sum(map(len, self.segments)):
+            raise InputFormatError("request segments must be pairwise disjoint")
 
 
 @dataclass(frozen=True)
@@ -271,9 +267,11 @@ def verify_system(sys: ReznSystem, *, full: bool = True) -> dict:
             node = node_name(rec.stage, sat.label)
             ext_checked += 1
             for n, seg in zip(sat.request.trees, sat.request.segments):
-                added[n].add(node)
-                up = above[n][node]
-                if set(up) != set(seg) or up[0] != max(seg, key=key.__getitem__):
+                # a tree index or node the trees lack is a failed extension
+                up = above[n].get(node) if n in added else None
+                if up is not None:
+                    added[n].add(node)
+                if not up or set(up) != set(seg) or up[0] != max(seg, key=key.__getitem__):
                     ext_failures.append({"tree": n, "node": node, "segment": list(seg)})
 
     bound_failures = []

@@ -6,6 +6,7 @@ by key with fixed separators so equal inputs yield byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from typing import Any, Mapping, Optional
@@ -40,10 +41,22 @@ def family_to_dict(family: SetFamily) -> dict:
     }
 
 
+def _check_atom_lists(lists: Any, what: str) -> None:
+    """Reject anything but a JSON list of lists of strings, so no string is
+    read as a set of characters and no object as the set of its keys."""
+    if type(lists) is not list or not set(map(type, lists)) <= {list}:
+        raise InputFormatError(f"bad {what}: expected lists of atoms")
+    if not set(map(type, itertools.chain.from_iterable(lists))) <= {str}:
+        raise InputFormatError(f"bad {what}: atoms must be strings")
+
+
 def family_from_dict(payload: Mapping) -> SetFamily:
     try:
+        _check_atom_lists([payload["ground"]], "'ground'")
         ground = GroundSet(payload["ground"])
-        return SetFamily(ground, payload["members"], provenance=payload.get("provenance", "explicit"))
+        members = payload["members"]
+        _check_atom_lists(members, "'members'")
+        return SetFamily(ground, members, provenance=payload.get("provenance", "explicit"))
     except InputFormatError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -99,6 +112,7 @@ def weighted_family_to_dict(sets: list[WeightedSet], ground: GroundSet) -> dict:
 
 def weighted_family_from_dict(payload: Mapping) -> tuple[list[WeightedSet], GroundSet]:
     try:
+        _check_atom_lists([payload["ground"]], "'ground'")
         ground = GroundSet(payload["ground"])
         sets = [
             WeightedSet(ground, {a: parse_fraction(v) for a, v in w.items()})
@@ -114,9 +128,8 @@ def weighted_family_from_dict(payload: Mapping) -> tuple[list[WeightedSet], Grou
 def partition_from_dict(payload: Mapping) -> list[list[str]]:
     try:
         blocks = payload["blocks"]
-        if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
-            raise InputFormatError("'blocks' must be a list of atom lists")
-        return [[str(a) for a in b] for b in blocks]
+        _check_atom_lists(blocks, "'blocks'")
+        return blocks
     except InputFormatError:
         raise
     except (KeyError, TypeError) as exc:
@@ -128,13 +141,17 @@ def supports_from_dict(payload: Mapping) -> tuple[dict[str, list[str]], Optional
     {"gamma": [...], "supports": {...}} wrapper naming the full ground set."""
     try:
         if "supports" in payload:
-            gamma = [str(a) for a in payload["gamma"]] if "gamma" in payload else None
+            gamma = None
+            if "gamma" in payload:
+                gamma = payload["gamma"]
+                _check_atom_lists([gamma], "'gamma'")
             raw = payload["supports"]
         else:
             gamma, raw = None, payload
         if not isinstance(raw, Mapping):
             raise InputFormatError("supports must be an object mapping delta ids to atom lists")
-        return {str(d): [str(a) for a in atoms] for d, atoms in raw.items()}, gamma
+        _check_atom_lists(list(raw.values()), "supports")
+        return {str(d): atoms for d, atoms in raw.items()}, gamma
     except InputFormatError:
         raise
     except (KeyError, TypeError) as exc:

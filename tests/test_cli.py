@@ -434,3 +434,90 @@ def test_out_into_missing_directory_exits_2(capsys, inputs):
     assert code == 2
     assert payload["command"] == "saturate"
     assert payload["error"]["code"] == "input-format"
+
+
+@pytest.mark.parametrize(
+    "ground,members",
+    [
+        (["a", "b", "c"], ["abc"]),  # a string member used to read as the set of its characters
+        (["a", "b", "c"], {"a": ["b"]}),  # an object used to read as the set of its keys
+        (["a", "b", "c"], "ab"),
+        (["a", "b", "c"], [["a", 1]]),
+        (["a", "b", "c"], [["a", None]]),
+        (["a", "b", "c"], [[["a"]]]),
+        ("abc", [["a"]]),
+    ],
+    ids=["string-member", "object-members", "string-members", "int-atom", "null-atom", "list-atom", "string-ground"],
+)
+def test_family_schema_holes_exit_2(capsys, tmp_path, ground, members):
+    fam = tmp_path / "family.json"
+    fam.write_text(canonical_json({"ground": ground, "members": members}))
+    vec = tmp_path / "vector.json"
+    vec.write_text(canonical_json({"entries": {"a": "1/1"}}))
+    code, payload = run(capsys, ["norm", "--family", str(fam), "--vector", str(vec)])
+    assert code == 2
+    assert payload["error"]["code"] == "input-format"
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [[[0], [1], [2]], [["0", "1"], [2]], ["012"]],
+    ids=["int-atoms", "one-int-atom", "string-block"],
+)
+def test_partition_non_string_atoms_exit_2(capsys, tmp_path, inputs, blocks):
+    gd = tmp_path / "gd.json"
+    gd.write_text(canonical_json({"blocks": blocks}))
+    code, payload = run(
+        capsys,
+        ["qe-search", "--family", inputs["adm.json"], "--gamma-d", str(gd), "--gamma-n", inputs["gn.json"]],
+    )
+    assert code == 2
+    assert payload["error"]["code"] == "input-format"
+
+
+@pytest.mark.parametrize(
+    "supports",
+    [
+        {"d1": [1, 2]},
+        {"d1": "g1"},
+        {"gamma": ["g1", 2], "supports": {"d1": ["g1"]}},
+        {"gamma": "g1", "supports": {"d1": ["g1"]}},
+        {"gamma": None, "supports": {"d1": ["g1"]}},
+    ],
+    ids=["int-atoms", "string-support", "int-gamma-atom", "string-gamma", "null-gamma"],
+)
+def test_supports_non_string_atoms_exit_2(capsys, tmp_path, supports):
+    path = tmp_path / "supports.json"
+    path.write_text(canonical_json(supports))
+    code, payload = run(capsys, ["saturate", "--supports", str(path)])
+    assert code == 2
+    assert payload["error"]["code"] == "input-format"
+
+
+def test_weighted_family_string_ground_exits_2(capsys, tmp_path, inputs):
+    path = tmp_path / "weighted.json"
+    path.write_text(canonical_json({"ground": "ab", "weighted": [{"a": "1/1"}]}))
+    code, payload = run(capsys, ["norm-re", "--weighted", str(path), "--vector", inputs["wvec.json"]])
+    assert code == 2
+    assert payload["error"]["code"] == "input-format"
+
+
+def test_search_partition_overlapping_request_segments_exit_2(capsys, tmp_path):
+    out = tmp_path / "sys.json"
+    cli.main(
+        ["build-reznichenko", "--trees", "2", "--stages", "3", "--pool", "4", "--seed", "7", "--out", str(out)]
+    )
+    capsys.readouterr()
+    system = json.loads(out.read_text())["system"]
+    sat = system["stage_log"][1]["satisfied"][1]
+    sat["segments"][1] = sat["segments"][1] + sat["segments"][0]  # tree 2's chain now meets tree 1's
+    out.write_text(canonical_json(system))
+    part = tmp_path / "part.json"
+    part.write_text(canonical_json({"blocks": [[f"{s}:{t}" for s in range(3) for t in range(4)]]}))
+    code, payload = run(
+        capsys,
+        ["search-partition", "--system", str(out), "--partition", str(part), "--threshold", "2"],
+    )
+    assert code == 2
+    assert payload["error"]["code"] == "input-format"
+    assert "pairwise disjoint" in payload["error"]["message"]

@@ -208,6 +208,28 @@ def test_verify_full_must_be_true():
         verify_system(sys, full=False)
 
 
+def test_verify_reports_log_node_missing_from_tree():
+    payload = system_to_dict(build(ReznParams(2, 3, 4, 7)))
+    del payload["trees"]["1"]["2:0"]  # a leaf the stage log still adds to tree 1
+    report = verify_system(system_from_dict(payload))
+    assert not report["passed"]
+    assert report["extensions"]["failures"] == [{"tree": 1, "node": "2:0", "segment": ["0:1"]}]
+    assert report["extensions"]["checked"] == 4
+    for name in ("bounds", "stage_monotone", "near_disjoint"):
+        assert report[name]["passed"], name
+
+
+def test_verify_reports_log_tree_out_of_range():
+    payload = system_to_dict(build(ReznParams(2, 3, 4, 7)))
+    payload["stage_log"][0]["satisfied"][0]["trees"] = [1, 3]
+    report = verify_system(system_from_dict(payload))
+    assert not report["passed"]
+    assert report["extensions"]["failures"] == [{"tree": 3, "node": "1:0", "segment": ["0:2"]}]
+    # tree 2 gained 1:0, and the log no longer says so
+    assert report["stage_monotone"]["failures"] == [{"tree": 2, "log_mismatch": True}]
+    assert report.keys() == verify_system(small_system()).keys()
+
+
 @pytest.mark.parametrize(
     "shape", [(8, 32, 64), (2, 32, 64), (3, 24, 128), (16, 64, 128)], ids=lambda s: "/".join(map(str, s))
 )
