@@ -5,8 +5,7 @@ condition (c) asks, for the trace s∖⋃s_ti of every short envelope tuple, how
 much of it a pairwise-disjoint packing of members can cover. Both read the
 largest-coverage packing of a target from ``packing.pack_first`` over
 bitmasks in canonical atom order, memoised per target, so reports are
-deterministic. Residuals above the configured bound fail the check with a
-replayable witness.
+deterministic. Any residual fails the check with a replayable witness.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
+from .budgets import Budgets
 from .core import Member, SetFamily, canonical_member
 from .errors import (
     DecompositionError,
@@ -21,12 +21,6 @@ from .errors import (
     ResourceLimitError,
 )
 from .packing import pack_first
-
-DEFAULT_COVER_LIMIT = 24
-DEFAULT_SAMPLE_BOUND = 3
-DEFAULT_RESIDUAL_BOUND = 0
-DEFAULT_PAIR_BUDGET = 200_000
-DEFAULT_TRACE_BUDGET = 200_000
 
 
 @dataclass(frozen=True)
@@ -106,7 +100,7 @@ def check_condition_b(
     family: SetFamily,
     s: Iterable[str],
     t: Iterable[str],
-    cover_limit: int = DEFAULT_COVER_LIMIT,
+    cover_limit: int = Budgets.cover_limit,
     _masks: Optional[_Masks] = None,
 ) -> Optional[Decomposition]:
     """Exact cover of s∖t by pairwise disjoint members; None if impossible."""
@@ -149,14 +143,13 @@ def _checked_envelope(
 def check_condition_c(
     family: SetFamily,
     envelope: Optional[Mapping[Member, Member]] = None,
-    sample_bound: int = DEFAULT_SAMPLE_BOUND,
-    residual_bound: int = DEFAULT_RESIDUAL_BOUND,
-    trace_budget: int = DEFAULT_TRACE_BUDGET,
+    sample_bound: int = Budgets.sample_bound,
+    trace_budget: int = Budgets.trace_budget,
     _masks: Optional[_Masks] = None,
 ) -> ConditionResult:
     """For every member s and every envelope tuple of length <= sample_bound,
-    the trace s∖⋃s_ti must be packable by disjoint members up to the residual
-    bound. Tuples are enumerated through their distinct union traces."""
+    the trace s∖⋃s_ti must be covered exactly by disjoint members. Tuples
+    are enumerated through their distinct union traces."""
     env = _checked_envelope(family, envelope)
     masks = _masks or _Masks(family)
     env_masks = [(t, masks.by_member[env[t]]) for t in family.members]
@@ -193,7 +186,7 @@ def check_condition_c(
                 continue
             parts, covered = masks.packing(target)
             residual = (target & ~covered).bit_count()
-            if residual > residual_bound:
+            if residual:
                 return ConditionResult(
                     passed=False,
                     witness={
@@ -210,7 +203,7 @@ def check_condition_c(
 def disjointify(
     family: SetFamily,
     inputs: list,
-    cover_limit: int = DEFAULT_COVER_LIMIT,
+    cover_limit: int = Budgets.cover_limit,
     _masks: Optional[_Masks] = None,
 ) -> Decomposition:
     """Rewrite ⋃inputs as pairwise disjoint members, each inside some input.
@@ -247,11 +240,10 @@ def disjointify(
 def check_ci(
     family: SetFamily,
     envelope: Optional[Mapping[Member, Member]] = None,
-    sample_bound: int = DEFAULT_SAMPLE_BOUND,
-    residual_bound: int = DEFAULT_RESIDUAL_BOUND,
-    pair_budget: int = DEFAULT_PAIR_BUDGET,
-    cover_limit: int = DEFAULT_COVER_LIMIT,
-    trace_budget: int = DEFAULT_TRACE_BUDGET,
+    sample_bound: int = Budgets.sample_bound,
+    pair_budget: int = Budgets.pair_budget,
+    cover_limit: int = Budgets.cover_limit,
+    trace_budget: int = Budgets.trace_budget,
 ) -> CiReport:
     """Run all four axioms; failing conditions carry replayable witnesses."""
     masks = _Masks(family)
@@ -282,7 +274,6 @@ def check_ci(
         family,
         envelope,
         sample_bound=sample_bound,
-        residual_bound=residual_bound,
         trace_budget=trace_budget,
         _masks=masks,
     )

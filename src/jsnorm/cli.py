@@ -9,6 +9,7 @@ error, 3 resource budget exceeded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -16,14 +17,18 @@ import sys
 from typing import Optional
 
 from . import ci, norm, reznichenko, talagrand
-from .core import GroundSet, canonical_member
+from .budgets import Budgets
+from .core import GroundSet
 from .errors import InputFormatError, JsnormError, ResourceLimitError
 from .serialize import (
     canonical_json,
+    envelope_from_dict,
     family_from_dict,
     format_fraction,
     load_json,
+    members_from_dict,
     partition_from_dict,
+    strata_from_dict,
     supports_from_dict,
     tree_from_dict,
     vector_from_dict,
@@ -31,81 +36,60 @@ from .serialize import (
     weighted_to_dict,
 )
 
-BUDGET_DEFAULTS = {
-    "oracle_limit": norm.DEFAULT_ORACLE_LIMIT,
-    "cover_limit": ci.DEFAULT_COVER_LIMIT,
-    "sample_bound": ci.DEFAULT_SAMPLE_BOUND,
-    "pair_budget": ci.DEFAULT_PAIR_BUDGET,
-    "trace_budget": ci.DEFAULT_TRACE_BUDGET,
-    "grid_budget": talagrand.DEFAULT_GRID_BUDGET,
-    "family_budget": talagrand.DEFAULT_FAMILY_BUDGET,
-    "enum_budget": reznichenko.DEFAULT_ENUM_BUDGET,
-}
-
 ENV_BUDGET_VAR = "JSNORM_BUDGET_OVERRIDE"
 
 
-def _resolve_budgets(args) -> dict[str, int]:
-    budgets = dict(BUDGET_DEFAULTS)
+def _resolve_budgets() -> Budgets:
+    """The defaults, with the JSON object in ``JSNORM_BUDGET_OVERRIDE`` over them."""
     raw = os.environ.get(ENV_BUDGET_VAR)
-    if raw:
-        try:
-            overrides = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(f"{ENV_BUDGET_VAR} is not valid JSON: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise InputFormatError(f"{ENV_BUDGET_VAR} must be a JSON object")
-        for key, value in overrides.items():
-            if key not in budgets:
-                raise InputFormatError(f"unknown budget {key!r} in {ENV_BUDGET_VAR}")
-            budgets[key] = value
-    if getattr(args, "oracle_limit", None) is not None:
-        budgets["oracle_limit"] = args.oracle_limit
-    for key, value in budgets.items():
-        if type(value) is not int or value <= 0:
-            raise ResourceLimitError(f"budget {key} must be a positive integer, got {value!r}")
-    return budgets
+    if not raw:
+        return Budgets()
+    try:
+        overrides = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"{ENV_BUDGET_VAR} is not valid JSON: {exc}") from exc
+    if not isinstance(overrides, dict):
+        raise InputFormatError(f"{ENV_BUDGET_VAR} must be a JSON object")
+    known = {f.name for f in dataclasses.fields(Budgets)}
+    for key in overrides:
+        if key not in known:
+            raise InputFormatError(f"unknown budget {key!r} in {ENV_BUDGET_VAR}")
+    return Budgets(**overrides)
+
+
+def _precision(args) -> int:
+    if not 10 <= args.precision <= 200:
+        raise InputFormatError("precision must be in [10, 200]")
+    return args.precision
 
 
 def _member_list(members) -> list[list[str]]:
     return [list(m) for m in members]
 
 
-def _load_envelope(path: Optional[str]):
-    if path is None:
-        return None
-    payload = load_json(path)
-    pairs = payload.get("envelope") if isinstance(payload, dict) else payload
-    if not isinstance(pairs, list):
-        raise InputFormatError("envelope file must hold a list of [t, s_t] pairs")
-    try:
-        return {canonical_member(t): canonical_member(s) for t, s in pairs}
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"malformed envelope pair: {exc}") from exc
-
-
-def _cmd_check_ci(args, budgets) -> tuple[dict, int]:
+def _cmd_check_ci(args, budgets: Budgets) -> tuple[dict, int]:
     family = family_from_dict(load_json(args.family))
-    envelope = _load_envelope(args.envelope)
+    envelope = None if args.envelope is None else envelope_from_dict(load_json(args.envelope))
     report = ci.check_ci(
         family,
         envelope,
-        sample_bound=budgets["sample_bound"],
-        pair_budget=budgets["pair_budget"],
-        cover_limit=budgets["cover_limit"],
-        trace_budget=budgets["trace_budget"],
+        sample_bound=budgets.sample_bound,
+        pair_budget=budgets.pair_budget,
+        cover_limit=budgets.cover_limit,
+        trace_budget=budgets.trace_budget,
     )
     payload = {"command": "check-ci", **ci.report_to_dict(report)}
     return payload, 0 if report.passed else 1
 
 
-def _cmd_norm(args, budgets) -> tuple[dict, int]:
+def _cmd_norm(args, budgets: Budgets) -> tuple[dict, int]:
+    precision = _precision(args)
     if (args.family is None) == (args.tree is None):
         raise InputFormatError("norm needs exactly one of --family or --tree")
     if args.family is not None:
         family = family_from_dict(load_json(args.family))
         phi = vector_from_dict(load_json(args.vector), family.ground)
-        result = norm.norm_oracle(family, phi, oracle_limit=budgets["oracle_limit"])
+        result = norm.norm_oracle(family, phi, oracle_limit=budgets.oracle_limit)
     else:
         tree = tree_from_dict(load_json(args.tree))
         phi = vector_from_dict(load_json(args.vector), tree.ground_set())
@@ -113,45 +97,43 @@ def _cmd_norm(args, budgets) -> tuple[dict, int]:
     payload = {
         "command": "norm",
         "norm_sq": format_fraction(result.norm_sq),
-        "norm_decimal": result.norm_decimal(args.precision),
+        "norm_decimal": result.norm_decimal(precision),
         "witness": _member_list(result.witness),
         "method": result.method,
     }
     return payload, 0
 
 
-def _cmd_norm_re(args, budgets) -> tuple[dict, int]:
+def _cmd_norm_re(args, budgets: Budgets) -> tuple[dict, int]:
+    precision = _precision(args)
     sets, ground = weighted_family_from_dict(load_json(args.weighted))
     phi = vector_from_dict(load_json(args.vector), ground)
-    result = norm.norm_weighted(sets, phi, oracle_limit=budgets["oracle_limit"])
+    result = norm.norm_weighted(sets, phi, oracle_limit=budgets.oracle_limit)
     payload = {
         "command": "norm-re",
         "norm_sq": format_fraction(result.norm_sq),
-        "norm_decimal": result.norm_decimal(args.precision),
+        "norm_decimal": result.norm_decimal(precision),
         "witness": [weighted_to_dict(g) for g in result.witness],
         "method": result.method,
     }
     return payload, 0
 
 
-def _cmd_disjointify(args, budgets) -> tuple[dict, int]:
+def _cmd_disjointify(args, budgets: Budgets) -> tuple[dict, int]:
     family = family_from_dict(load_json(args.family))
-    payload_in = load_json(args.members)
-    members = payload_in.get("members") if isinstance(payload_in, dict) else payload_in
-    if not isinstance(members, list):
-        raise InputFormatError("members file must hold a list of members")
-    result = ci.disjointify(family, members, cover_limit=budgets["cover_limit"])
+    members = members_from_dict(load_json(args.members))
+    result = ci.disjointify(family, members, cover_limit=budgets.cover_limit)
     return {"command": "disjointify", "parts": _member_list(result.parts)}, 0
 
 
-def _cmd_build_reznichenko(args, budgets) -> tuple[dict, int]:
+def _cmd_build_reznichenko(args, budgets: Budgets) -> tuple[dict, int]:
     params = reznichenko.ReznParams(
         n_trees=args.trees,
         stages=args.stages,
         label_pool=args.pool,
         rng_seed=args.seed,
     )
-    sys_ = reznichenko.build(params, enum_budget=budgets["enum_budget"])
+    sys_ = reznichenko.build(params, enum_budget=budgets.enum_budget)
     return {"command": "build-reznichenko", "system": reznichenko.system_to_dict(sys_)}, 0
 
 
@@ -167,7 +149,7 @@ def _witness_dict(w: Optional[reznichenko.PartitionWitness]):
     }
 
 
-def _cmd_search_partition(args, budgets) -> tuple[dict, int]:
+def _cmd_search_partition(args, budgets: Budgets) -> tuple[dict, int]:
     payload_in = load_json(args.system)
     if isinstance(payload_in, dict) and "system" in payload_in:
         payload_in = payload_in["system"]  # accept a build report directly
@@ -180,7 +162,7 @@ def _cmd_search_partition(args, budgets) -> tuple[dict, int]:
     return {"command": "search-partition", "witness": _witness_dict(witness)}, 0
 
 
-def _cmd_qe_search(args, budgets) -> tuple[dict, int]:
+def _cmd_qe_search(args, budgets: Budgets) -> tuple[dict, int]:
     family = family_from_dict(load_json(args.family))
     gamma_d = partition_from_dict(load_json(args.gamma_d))
     gamma_n = partition_from_dict(load_json(args.gamma_n))
@@ -234,17 +216,10 @@ def _is_digit_grid(atoms, width: int, length: int) -> bool:
     return set(atoms) == set(talagrand.SeqGrid(b, length, grid_budget=len(atoms)).elements)
 
 
-def _cmd_eberleinize(args, budgets) -> tuple[dict, int]:
+def _cmd_eberleinize(args, budgets: Budgets) -> tuple[dict, int]:
     family = family_from_dict(load_json(args.family))
     if args.strata is not None:
-        payload_in = load_json(args.strata)
-        rows = payload_in.get("strata") if isinstance(payload_in, dict) else payload_in
-        if not isinstance(rows, list):
-            raise InputFormatError("strata file must hold a list of [member, n] pairs")
-        try:
-            strata = {canonical_member(m): int(n) for m, n in rows}
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(f"malformed strata row: {exc}") from exc
+        strata = strata_from_dict(load_json(args.strata))
     elif family.provenance == "admissible":
         strata = _grid_strata(family)
     else:
@@ -258,7 +233,7 @@ def _cmd_eberleinize(args, budgets) -> tuple[dict, int]:
     return payload, 0
 
 
-def _cmd_saturate(args, budgets) -> tuple[dict, int]:
+def _cmd_saturate(args, budgets: Budgets) -> tuple[dict, int]:
     supports, gamma_atoms = supports_from_dict(load_json(args.supports))
     delta = GroundSet(sorted(supports))
     if gamma_atoms is None:
@@ -277,7 +252,7 @@ def _cmd_saturate(args, budgets) -> tuple[dict, int]:
     return payload, 0
 
 
-def _cmd_suite(args, budgets) -> tuple[dict, int]:
+def _cmd_suite(args, budgets: Budgets) -> tuple[dict, int]:
     from . import suite
 
     report = suite.run_acceptance_suite(seed=args.seed, budgets=budgets)
@@ -307,23 +282,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, **flags) -> argparse.ArgumentParser:
+    def add(name: str, precision: bool = False) -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--out", help="write the JSON report here instead of stdout")
-        p.add_argument("--precision", type=int, default=50, help="decimal digits for square roots")
-        p.add_argument("--oracle-limit", type=int, default=None, dest="oracle_limit")
+        if precision:
+            p.add_argument(
+                "--precision",
+                type=int,
+                default=norm.DEFAULT_PRECISION,
+                help="decimal digits for square roots, in [10, 200]",
+            )
         return p
 
     p = add("check-ci")
     p.add_argument("--family", required=True)
     p.add_argument("--envelope", default=None)
 
-    p = add("norm")
+    p = add("norm", precision=True)
     p.add_argument("--family", default=None)
     p.add_argument("--tree", default=None)
     p.add_argument("--vector", required=True)
 
-    p = add("norm-re")
+    p = add("norm-re", precision=True)
     p.add_argument("--weighted", required=True)
     p.add_argument("--vector", required=True)
 
@@ -386,19 +366,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
 
     command = args.command
-    if not 10 <= args.precision <= 200:
-        return _emit(
-            {
-                "command": command,
-                "error": {"code": "input-format", "message": "precision must be in [10, 200]"},
-            },
-            args.out,
-            command,
-            2,
-        )
-
     try:
-        budgets = _resolve_budgets(args)
+        budgets = _resolve_budgets()
         payload, code = HANDLERS[command](args, budgets)
     except InputFormatError as exc:
         payload, code = {

@@ -19,7 +19,7 @@ from .errors import ResourceLimitError, UnknownMemberError
 Atom = str
 Member = tuple[Atom, ...]
 
-DEFAULT_NODE_LIMIT = 8191
+DYADIC_NODE_LIMIT = 8191
 
 
 def canonical_member(atoms: Iterable[Atom]) -> Member:
@@ -322,13 +322,13 @@ class FiniteTree:
         return GroundSet(sorted(self.nodes))
 
 
-def dyadic_tree(depth: int, node_limit: int = DEFAULT_NODE_LIMIT) -> FiniteTree:
+def dyadic_tree(depth: int) -> FiniteTree:
     """Complete binary tree with nodes (n, k), parent of (n+1, l) = (n, l // 2)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
     total = 2 ** (depth + 1) - 1
-    if total > node_limit:
-        raise ResourceLimitError(f"dyadic tree of depth {depth} has {total} nodes > limit {node_limit}")
+    if total > DYADIC_NODE_LIMIT:
+        raise ResourceLimitError(f"dyadic tree of depth {depth} has {total} nodes > limit {DYADIC_NODE_LIMIT}")
     parent: dict[Atom, Optional[Atom]] = {"0:0": None}
     for n in range(1, depth + 1):
         for k in range(2**n):

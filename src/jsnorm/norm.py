@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .budgets import Budgets
 from .core import (
     FinVector,
     FiniteTree,
@@ -31,7 +32,6 @@ from .errors import (
 )
 from .packing import pack, pack_first
 
-DEFAULT_ORACLE_LIMIT = 16
 DEFAULT_PRECISION = 50
 
 
@@ -128,7 +128,7 @@ def _has_cross_conflicts(fmasks: Sequence[int], tmasks: Sequence[int], k: int) -
 def norm_oracle(
     family: SetFamily,
     phi: FinVector,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
+    oracle_limit: int = Budgets.oracle_limit,
 ) -> NormResult:
     """Exhaustive James-style norm over all pairwise disjoint subfamilies.
 
@@ -280,7 +280,7 @@ def norm_tree_dp(tree: FiniteTree, phi: FinVector) -> NormResult:
 def norm_weighted(
     familyE: Sequence[WeightedSet],
     phi: FinVector,
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
+    oracle_limit: int = Budgets.oracle_limit,
 ) -> NormResult:
     """Max Σ⟨φ,gᵢ⟩² over subfamilies with pairwise disjoint supports."""
     supp = phi.support
@@ -369,7 +369,7 @@ def greedy_extract(
     phis: Sequence[FinVector],
     epsilon: Fraction | int | str,
     fraction: Fraction = Fraction(1, 2),
-    oracle_limit: int = DEFAULT_ORACLE_LIMIT,
+    oracle_limit: int = Budgets.oracle_limit,
     trusted: bool = False,
 ) -> GreedyCertificate:
     """Iteratively pick disjoint members acting above ε on most survivors.

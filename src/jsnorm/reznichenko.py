@@ -12,9 +12,10 @@ what happened so the lossiness stays visible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional, Sequence
 
+from .budgets import Budgets
 from .core import FiniteTree, GroundSet, Member, SetFamily, canonical_member
 from .errors import (
     IndexOutOfRangeError,
@@ -26,7 +27,6 @@ from .errors import (
 from .talagrand import validate_partition
 
 SEGMENT_BUDGET = 200_000
-DEFAULT_ENUM_BUDGET = 100_000
 SAMPLE_RETRIES = 64
 
 LCG_MULT = 6364136223846793005
@@ -70,6 +70,10 @@ class ReznParams:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not int:
+                raise InputFormatError(f"{f.name} must be an integer, got {value!r}")
         if self.n_trees < 2:
             raise InputFormatError("need at least 2 trees")
         if self.stages < 1:
@@ -179,7 +183,7 @@ def _enumerate_requests(
     return found, False, len(found)
 
 
-def build(params: ReznParams, enum_budget: int = DEFAULT_ENUM_BUDGET) -> ReznSystem:
+def build(params: ReznParams, enum_budget: int = Budgets.enum_budget) -> ReznSystem:
     """Run the staged construction under the given parameters."""
     states = {n: _TreeState(node_name(0, n)) for n in range(1, params.n_trees + 1)}
     rng = Lcg64(params.rng_seed)
@@ -556,9 +560,12 @@ def system_from_dict(payload: dict) -> ReznSystem:
             label_pool=payload["params"]["label_pool"],
             rng_seed=payload["params"]["rng_seed"],
         )
-        trees = {
-            int(n): FiniteTree(dict(parent_map)) for n, parent_map in payload["trees"].items()
-        }
+        raw_trees = payload["trees"]
+        if type(raw_trees) is not dict or set(raw_trees) != {str(n) for n in range(1, params.n_trees + 1)}:
+            raise InputFormatError(f"'trees' must be an object keyed \"1\"..\"{params.n_trees}\"")
+        if not all(type(parent_map) is dict for parent_map in raw_trees.values()):
+            raise InputFormatError("each tree must be an object mapping node to parent")
+        trees = {int(n): FiniteTree(parent_map) for n, parent_map in raw_trees.items()}
         log = tuple(
             StageRecord(
                 stage=rec["stage"],
@@ -582,4 +589,7 @@ def system_from_dict(payload: dict) -> ReznSystem:
     gamma = GroundSet(
         node_name(s, t) for s in range(params.stages) for t in range(params.label_pool)
     )
+    if not all(gamma.covers(tree.nodes) for tree in trees.values()):
+        stray = min(v for tree in trees.values() for v in tree.nodes if v not in gamma)
+        raise InputFormatError(f"tree node {stray!r} is not a stage:label atom of the system")
     return ReznSystem(params=params, gamma=gamma, trees=trees, stage_log=log)

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import Any, Mapping, Optional
 
-from .core import FinVector, FiniteTree, GroundSet, SetFamily, WeightedSet
+from .core import FinVector, FiniteTree, GroundSet, Member, SetFamily, WeightedSet, canonical_member
 from .errors import InputFormatError
 
 
@@ -145,17 +145,54 @@ def supports_from_dict(payload: Mapping) -> tuple[dict[str, list[str]], Optional
             if "gamma" in payload:
                 gamma = payload["gamma"]
                 _check_atom_lists([gamma], "'gamma'")
+                if not gamma or len(set(gamma)) != len(gamma):
+                    raise InputFormatError("'gamma' must list distinct atoms, at least one")
             raw = payload["supports"]
         else:
             gamma, raw = None, payload
         if not isinstance(raw, Mapping):
             raise InputFormatError("supports must be an object mapping delta ids to atom lists")
+        if not raw:
+            raise InputFormatError("supports must name at least one delta")
         _check_atom_lists(list(raw.values()), "supports")
         return {str(d): atoms for d, atoms in raw.items()}, gamma
     except InputFormatError:
         raise
     except (KeyError, TypeError) as exc:
         raise InputFormatError(f"bad supports payload: {exc}") from exc
+
+
+def _side_list(payload: Any, key: str, shape: str, pairs: bool = False) -> list:
+    """The list a side file holds, bare or under ``key``; with ``pairs`` each
+    row must be a two-item list."""
+    rows = payload.get(key) if isinstance(payload, dict) else payload
+    if type(rows) is not list or pairs and not all(type(r) is list and len(r) == 2 for r in rows):
+        raise InputFormatError(f"{key} file must hold a list of {shape}")
+    return rows
+
+
+def envelope_from_dict(payload: Any) -> dict[Member, Member]:
+    """Envelope file: [t, s_t] member pairs, bare or under "envelope"."""
+    pairs = _side_list(payload, "envelope", "[t, s_t] pairs", pairs=True)
+    _check_atom_lists(list(itertools.chain.from_iterable(pairs)), "envelope pair")
+    return {canonical_member(t): canonical_member(s) for t, s in pairs}
+
+
+def members_from_dict(payload: Any) -> list[list[str]]:
+    """Members file for ``disjointify``: a list of members, bare or under "members"."""
+    members = _side_list(payload, "members", "members")
+    _check_atom_lists(members, "'members'")
+    return members
+
+
+def strata_from_dict(payload: Any) -> dict[Member, int]:
+    """Strata file: [member, n] rows, bare or under "strata"; each n is a
+    JSON integer, not a boolean or a float."""
+    rows = _side_list(payload, "strata", "[member, n] pairs", pairs=True)
+    _check_atom_lists([m for m, _ in rows], "strata member")
+    if not {type(n) for _, n in rows} <= {int}:
+        raise InputFormatError("bad strata: a stratum must be a JSON integer")
+    return {canonical_member(m): n for m, n in rows}
 
 
 def load_json(path: str) -> Any:

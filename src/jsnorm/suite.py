@@ -17,7 +17,7 @@ from math import isqrt
 from typing import Optional, Sequence
 
 from . import ci as ci_mod
-from .cli import BUDGET_DEFAULTS as DEFAULT_SUITE_BUDGETS
+from .budgets import Budgets
 from .core import (
     FinVector,
     GroundSet,
@@ -96,7 +96,7 @@ def _pairwise_disjoint(members) -> bool:
     return True
 
 
-def criterion_1_oracle_dp(seed: int, budgets: dict) -> dict:
+def criterion_1_oracle_dp(seed: int, budgets: Budgets) -> dict:
     rnd = random.Random(seed * 1009 + 1)
     t0 = time.perf_counter()
     cases = 0
@@ -106,8 +106,8 @@ def criterion_1_oracle_dp(seed: int, budgets: dict) -> dict:
         family = tree_segments(tree)
         ground = tree.ground_set()
         for _ in range(500):
-            phi = _rand_vector(rnd, ground, max_support=budgets["oracle_limit"])
-            a = norm_oracle(family, phi, oracle_limit=budgets["oracle_limit"])
+            phi = _rand_vector(rnd, ground, max_support=budgets.oracle_limit)
+            a = norm_oracle(family, phi, oracle_limit=budgets.oracle_limit)
             b = norm_tree_dp(tree, phi)
             cases += 1
             if a.norm_sq != b.norm_sq:
@@ -121,7 +121,7 @@ def criterion_1_oracle_dp(seed: int, budgets: dict) -> dict:
     }
 
 
-def criterion_2_norm_axioms(seed: int, budgets: dict) -> dict:
+def criterion_2_norm_axioms(seed: int, budgets: Budgets) -> dict:
     rnd = random.Random(seed * 1009 + 2)
     tree = dyadic_tree(3)
     family = tree_segments(tree)
@@ -157,7 +157,7 @@ def criterion_2_norm_axioms(seed: int, budgets: dict) -> dict:
     }
 
 
-def criterion_3_dual_bounds(seed: int, budgets: dict) -> dict:
+def criterion_3_dual_bounds(seed: int, budgets: Budgets) -> dict:
     rnd = random.Random(seed * 1009 + 3)
     tree = dyadic_tree(3)
     family = tree_segments(tree)
@@ -198,7 +198,7 @@ def criterion_3_dual_bounds(seed: int, budgets: dict) -> dict:
     }
 
 
-def criterion_4_disjointify(seed: int, budgets: dict) -> dict:
+def criterion_4_disjointify(seed: int, budgets: Budgets) -> dict:
     rnd = random.Random(seed * 1009 + 4)
     family = tree_segments(dyadic_tree(4))
     bad = {"overlap": 0, "union": 0, "containment": 0, "errors": 0}
@@ -206,7 +206,7 @@ def criterion_4_disjointify(seed: int, budgets: dict) -> dict:
         k = rnd.randint(1, 6)
         inputs = [rnd.choice(family.members) for _ in range(k)]
         try:
-            result = ci_mod.disjointify(family, inputs, cover_limit=budgets["cover_limit"])
+            result = ci_mod.disjointify(family, inputs, cover_limit=budgets.cover_limit)
         except Exception:
             bad["errors"] += 1
             continue
@@ -240,7 +240,7 @@ def _brute_pack_best(cands: list[set], target: set) -> int:
     return rec(0, set())
 
 
-def _replay_ci_failure(family: SetFamily, report: ci_mod.CiReport, budgets: dict) -> bool:
+def _replay_ci_failure(family: SetFamily, report: ci_mod.CiReport, budgets: Budgets) -> bool:
     """Confirm that a failed report's witness still demonstrates the failure."""
     if not report.condition_a.passed:
         atom = report.condition_a.witness["atom"]
@@ -248,7 +248,7 @@ def _replay_ci_failure(family: SetFamily, report: ci_mod.CiReport, budgets: dict
     if not report.condition_b.passed:
         w = report.condition_b.witness
         return (
-            ci_mod.check_condition_b(family, w["s"], w["t"], cover_limit=budgets["cover_limit"])
+            ci_mod.check_condition_b(family, w["s"], w["t"], cover_limit=budgets.cover_limit)
             is None
         )
     if not report.condition_c.passed:
@@ -265,17 +265,17 @@ def _replay_ci_failure(family: SetFamily, report: ci_mod.CiReport, budgets: dict
     return False
 
 
-def criterion_5_ci_suite(seed: int, budgets: dict) -> dict:
+def criterion_5_ci_suite(seed: int, budgets: Budgets) -> dict:
     rnd = random.Random(seed * 1009 + 5)
     base_failures = []
     for depth in range(1, 5):
         family = tree_segments(dyadic_tree(depth))
         report = ci_mod.check_ci(
             family,
-            sample_bound=budgets["sample_bound"],
-            pair_budget=budgets["pair_budget"],
-            cover_limit=budgets["cover_limit"],
-            trace_budget=budgets["trace_budget"],
+            sample_bound=budgets.sample_bound,
+            pair_budget=budgets.pair_budget,
+            cover_limit=budgets.cover_limit,
+            trace_budget=budgets.trace_budget,
         )
         if not report.passed:
             base_failures.append(depth)
@@ -289,10 +289,10 @@ def criterion_5_ci_suite(seed: int, budgets: dict) -> dict:
         )
         report = ci_mod.check_ci(
             reduced,
-            sample_bound=budgets["sample_bound"],
-            pair_budget=budgets["pair_budget"],
-            cover_limit=budgets["cover_limit"],
-            trace_budget=budgets["trace_budget"],
+            sample_bound=budgets.sample_bound,
+            pair_budget=budgets.pair_budget,
+            cover_limit=budgets.cover_limit,
+            trace_budget=budgets.trace_budget,
         )
         if report.passed:
             deletions["still_pass"] += 1
@@ -308,10 +308,10 @@ def criterion_5_ci_suite(seed: int, budgets: dict) -> dict:
     }
 
 
-def criterion_6_talagrand(seed: int, budgets: dict) -> dict:
+def criterion_6_talagrand(seed: int, budgets: Budgets) -> dict:
     rnd = random.Random(seed * 1009 + 6)
-    grid3 = SeqGrid(4, 3, grid_budget=budgets["grid_budget"])
-    family3, strata3 = admissible_family(grid3, max_size=4, family_budget=budgets["family_budget"])
+    grid3 = SeqGrid(4, 3, grid_budget=budgets.grid_budget)
+    family3, strata3 = admissible_family(grid3, max_size=4, family_budget=budgets.family_budget)
 
     uniqueness_bad = 0
     for m in family3.members:
@@ -334,8 +334,8 @@ def criterion_6_talagrand(seed: int, budgets: dict) -> dict:
         if not isinstance(is_admissible(grid3, subset), AdmissibleSet):
             hereditary_bad += 1
 
-    grid2 = SeqGrid(4, 2, grid_budget=budgets["grid_budget"])
-    family2, _ = admissible_family(grid2, max_size=4, family_budget=budgets["family_budget"])
+    grid2 = SeqGrid(4, 2, grid_budget=budgets.grid_budget)
+    family2, _ = admissible_family(grid2, max_size=4, family_budget=budgets.family_budget)
     atoms = family2.ground.elements
     qe_bad = 0
     for _ in range(200):
@@ -378,7 +378,7 @@ def criterion_6_talagrand(seed: int, budgets: dict) -> dict:
     }
 
 
-def criterion_7_greedy(seed: int, budgets: dict) -> dict:
+def criterion_7_greedy(seed: int, budgets: Budgets) -> dict:
     rnd = random.Random(seed * 1009 + 7)
     family = tree_segments(dyadic_tree(2))
     ground = family.ground
@@ -414,11 +414,11 @@ def criterion_7_greedy(seed: int, budgets: dict) -> dict:
     }
 
 
-def criterion_8_reznichenko(seed: int, budgets: dict) -> dict:
+def criterion_8_reznichenko(seed: int, budgets: Budgets) -> dict:
     rnd = random.Random(seed * 1009 + 8)
     params = ReznParams(rng_seed=seed)
     t0 = time.perf_counter()
-    system = build(params, enum_budget=budgets["enum_budget"])
+    system = build(params, enum_budget=budgets.enum_budget)
     build_s = time.perf_counter() - t0
     report = verify_system(system)
 
@@ -491,7 +491,7 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def criterion_9_saturation(seed: int, budgets: dict) -> dict:
+def criterion_9_saturation(seed: int, budgets: Budgets) -> dict:
     rnd = random.Random(seed * 1009 + 9)
     bad = {"blocks": 0, "orthogonality": 0}
     for _ in range(200):
@@ -539,7 +539,7 @@ def criterion_9_saturation(seed: int, budgets: dict) -> dict:
     }
 
 
-def criterion_10_determinism(seed: int, budgets: dict) -> dict:
+def criterion_10_determinism(seed: int, budgets: Budgets) -> dict:
     import tempfile
     from pathlib import Path
 
@@ -684,14 +684,13 @@ CRITERIA = [
 ]
 
 
-def run_acceptance_suite(seed: int = 0, budgets: Optional[dict] = None) -> dict:
-    merged = dict(DEFAULT_SUITE_BUDGETS)
-    if budgets:
-        merged.update(budgets)
+def run_acceptance_suite(seed: int = 0, budgets: Optional[Budgets] = None) -> dict:
+    if budgets is None:
+        budgets = Budgets()
     entries = []
     for fn in CRITERIA:
         try:
-            entries.append(fn(seed, merged))
+            entries.append(fn(seed, budgets))
         except Exception as exc:  # a crash is a failure, not a suite abort
             entries.append(
                 {

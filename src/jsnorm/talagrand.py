@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
+from .budgets import Budgets
 from .core import GroundSet, Member, SetFamily, WeightedSet, canonical_member
 from .errors import (
     EmptySupportError,
@@ -26,9 +27,6 @@ from .errors import (
     UncoveredGammaError,
 )
 
-DEFAULT_GRID_BUDGET = 4096
-DEFAULT_FAMILY_BUDGET = 10**6
-
 
 class SeqGrid:
     """All length-L sequences over digits 0..B-1, named by digit strings.
@@ -39,7 +37,7 @@ class SeqGrid:
 
     __slots__ = ("branching", "length", "elements", "_digits")
 
-    def __init__(self, branching: int, length: int, grid_budget: int = DEFAULT_GRID_BUDGET):
+    def __init__(self, branching: int, length: int, grid_budget: int = Budgets.grid_budget):
         if branching < 2:
             raise InputFormatError("grid branching must be at least 2")
         if length < 1:
@@ -127,7 +125,7 @@ def _admissible_count(b: int, l: int, max_size: int) -> int:
 def admissible_family(
     grid: SeqGrid,
     max_size: int,
-    family_budget: int = DEFAULT_FAMILY_BUDGET,
+    family_budget: int = Budgets.family_budget,
 ) -> tuple[SetFamily, dict[Member, int]]:
     """All admissible sets of size <= max_size plus singletons, with strata.
 

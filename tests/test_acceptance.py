@@ -6,12 +6,13 @@ import json
 import pytest
 
 from jsnorm import suite
+from jsnorm.budgets import Budgets
 
 SEED = 0
 
 
 def _run(fn):
-    result = fn(SEED, dict(suite.DEFAULT_SUITE_BUDGETS))
+    result = fn(SEED, Budgets())
     status = "PASS" if result["passed"] else "FAIL"
     print(f"criterion {result['criterion']} ({result['name']}): {status}")
     if not result["passed"]:

@@ -361,10 +361,21 @@ def test_env_segment_budget_is_not_a_budget(capsys, inputs, monkeypatch):
     assert code == 2
 
 
-def test_env_budget_nonpositive_exits_3(capsys, inputs, monkeypatch):
-    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"cover_limit": 0}')
-    code, _ = run(capsys, ["check-ci", "--family", inputs["family.json"]])
-    assert code == 3
+def test_env_budget_nonpositive_exits_2(capsys, inputs, monkeypatch):
+    for value in ("0", "-1"):
+        monkeypatch.setenv(cli.ENV_BUDGET_VAR, f'{{"cover_limit": {value}}}')
+        code, payload = run(capsys, ["check-ci", "--family", inputs["family.json"]])
+        assert code == 2
+        assert payload["error"]["code"] == "input-format"
+        assert "cover_limit must be a positive integer" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("value", ["16.0", '"16"', "null", "[16]"])
+def test_env_budget_non_integer_exits_2(capsys, inputs, monkeypatch, value):
+    monkeypatch.setenv(cli.ENV_BUDGET_VAR, f'{{"oracle_limit": {value}}}')
+    code, payload = run(capsys, ["saturate", "--supports", inputs["supports.json"]])
+    assert code == 2
+    assert "oracle_limit must be a positive integer" in payload["error"]["message"]
 
 
 def test_env_budget_bool_is_rejected(capsys, inputs, monkeypatch):
@@ -373,7 +384,7 @@ def test_env_budget_bool_is_rejected(capsys, inputs, monkeypatch):
         capsys,
         ["norm", "--family", inputs["family.json"], "--vector", inputs["vector.json"]],
     )
-    assert code == 3
+    assert code == 2
     assert "oracle_limit must be a positive integer" in payload["error"]["message"]
 
 
@@ -408,15 +419,13 @@ def test_parser_is_built_once_and_options_do_not_leak(capsys, inputs, tmp_path):
         inputs["vector.json"],
         "--precision",
         "12",
-        "--oracle-limit",
-        "2",
         "--out",
         str(out),
     ]
     code, payload = run(capsys, first)
-    assert code == 3 and payload is None
-    assert json.loads(out.read_text())["error"]["code"] == "resource-limit"
-    # No --out, --precision or --oracle-limit carries over from the first call.
+    assert code == 0 and payload is None
+    assert json.loads(out.read_text())["norm_decimal"] == "2.23606797750"
+    # Neither --out nor --precision carries over from the first call.
     code, payload = run(
         capsys,
         ["norm", "--family", inputs["family.json"], "--vector", inputs["vector.json"]],
@@ -521,3 +530,165 @@ def test_search_partition_overlapping_request_segments_exit_2(capsys, tmp_path):
     assert code == 2
     assert payload["error"]["code"] == "input-format"
     assert "pairwise disjoint" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["saturate", "--oracle-limit", "5"],
+        ["norm", "--oracle-limit", "2"],
+        ["check-ci", "--precision", "20"],
+        ["disjointify", "--precision", "20"],
+    ],
+    ids=["saturate-oracle-limit", "norm-oracle-limit", "check-ci-precision", "disjointify-precision"],
+)
+def test_budget_flags_exist_only_where_read(capsys, inputs, argv):
+    files = {
+        "saturate": ["--supports", inputs["supports.json"]],
+        "norm": ["--family", inputs["family.json"], "--vector", inputs["vector.json"]],
+        "check-ci": ["--family", inputs["family.json"]],
+        "disjointify": ["--family", inputs["family.json"], "--members", inputs["members.json"]],
+    }
+    assert cli.main(argv + files[argv[0]]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_norm_re_precision_out_of_range_exits_2(capsys, inputs):
+    argv = ["norm-re", "--weighted", inputs["weighted.json"], "--vector", inputs["wvec.json"]]
+    code, payload = run(capsys, argv + ["--precision", "201"])
+    assert code == 2
+    assert payload == {
+        "command": "norm-re",
+        "error": {"code": "input-format", "message": "precision must be in [10, 200]"},
+    }
+    code, payload = run(capsys, argv + ["--precision", "10"])
+    assert code == 0 and payload["norm_decimal"] == "1.414213562"
+
+
+def _ab_family(tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(canonical_json({"ground": ["a", "b"], "members": [["a"], ["a", "b"], ["b"]]}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "members",
+    [{"members": ["ab", "b"]}, {"members": [5]}, {"members": [["0:0", 5]]}, ["0:0"], {"members": "ab"}],
+    ids=["string-members", "int-member", "int-atom", "bare-string-member", "string"],
+)
+def test_disjointify_members_schema_holes_exit_2(capsys, tmp_path, members):
+    path = tmp_path / "members.json"
+    path.write_text(canonical_json(members))
+    code, payload = run(capsys, ["disjointify", "--family", _ab_family(tmp_path), "--members", str(path)])
+    assert code == 2
+    assert payload["error"]["code"] == "input-format"
+
+
+def test_envelope_of_lists_is_read(capsys, tmp_path):
+    env = tmp_path / "envelope.json"
+    env.write_text(canonical_json({"envelope": [[["a"], ["a", "b"]], [["b"], ["a", "b"]], [["a", "b"], ["a", "b"]]]}))
+    code, payload = run(capsys, ["check-ci", "--family", _ab_family(tmp_path), "--envelope", str(env)])
+    assert code == 0 and payload["envelope"] == "explicit"
+
+
+@pytest.mark.parametrize(
+    "envelope",
+    [
+        {"envelope": [["a", "ab"], ["b", "ab"], ["ab", "ab"]]},
+        [[["a"], ["a", 1]]],
+        [[["a"], ["a", "b"], ["b"]]],
+        [["a"]],
+        {"envelope": {"a": "ab"}},
+    ],
+    ids=["string-members", "int-atom", "triple", "not-a-pair", "object"],
+)
+def test_envelope_schema_holes_exit_2(capsys, tmp_path, envelope):
+    env = tmp_path / "envelope.json"
+    env.write_text(canonical_json(envelope))
+    code, payload = run(capsys, ["check-ci", "--family", _ab_family(tmp_path), "--envelope", str(env)])
+    assert code == 2
+    assert payload["error"]["code"] == "input-format"
+
+
+def test_strata_file_is_read(capsys, tmp_path):
+    path = tmp_path / "strata.json"
+    path.write_text(canonical_json({"strata": [[["a"], 1], [["a", "b"], 2], [["b"], 1]]}))
+    code, payload = run(capsys, ["eberleinize", "--family", _ab_family(tmp_path), "--strata", str(path)])
+    assert code == 0
+    assert payload["weighted"] == [{"a": "1/1"}, {"a": "1/2", "b": "1/2"}, {"b": "1/1"}]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[["a"], 1], ["ab", 2], [["b"], 1]],
+        [[["a"], 1], [["a", "b"], 1.5], [["b"], 1]],
+        [[["a"], 1], [["a", "b"], True], [["b"], 1]],
+        [[["a"], 1], [["a", "b"], "2"], [["b"], 1]],
+        [[["a"], 1], [["a", "b"], 2, 3], [["b"], 1]],
+        [[[1], 1]],
+    ],
+    ids=["string-member", "float", "bool", "string", "triple", "int-atom"],
+)
+def test_strata_schema_holes_exit_2(capsys, tmp_path, rows):
+    path = tmp_path / "strata.json"
+    path.write_text(canonical_json({"strata": rows}))
+    code, payload = run(capsys, ["eberleinize", "--family", _ab_family(tmp_path), "--strata", str(path)])
+    assert code == 2
+    assert payload["error"]["code"] == "input-format"
+
+
+@pytest.mark.parametrize(
+    "fault",
+    ["missing-tree", "extra-tree", "padded-key", "float-stages", "bool-seed", "list-trees", "list-tree", "stray-node"],
+)
+def test_search_partition_bad_system_exits_2(capsys, tmp_path, fault):
+    out = tmp_path / "sys.json"
+    cli.main(
+        ["build-reznichenko", "--trees", "2", "--stages", "3", "--pool", "4", "--seed", "7", "--out", str(out)]
+    )
+    capsys.readouterr()
+    system = json.loads(out.read_text())["system"]
+    if fault == "missing-tree":
+        del system["trees"]["2"]
+    elif fault == "extra-tree":
+        system["trees"]["5"] = {"0:5": None}
+    elif fault == "padded-key":
+        system["trees"]["01"] = system["trees"].pop("1")
+    elif fault == "float-stages":
+        system["params"]["stages"] = 3.0
+    elif fault == "bool-seed":
+        system["params"]["rng_seed"] = True
+    elif fault == "list-trees":
+        system["trees"] = list(system["trees"].values())
+    elif fault == "stray-node":
+        system["trees"]["1"]["zz"] = "0:1"  # used to raise KeyError in the search
+    else:
+        system["trees"]["1"] = list(system["trees"]["1"].items())
+    out.write_text(canonical_json(system))
+    part = tmp_path / "part.json"
+    part.write_text(canonical_json({"blocks": [[f"{s}:{t}" for s in range(3) for t in range(4)]]}))
+    code, payload = run(
+        capsys,
+        ["search-partition", "--system", str(out), "--partition", str(part), "--threshold", "2"],
+    )
+    assert code == 2
+    assert payload["error"]["code"] == "input-format"
+
+
+@pytest.mark.parametrize(
+    "supports",
+    [
+        {},
+        {"supports": {}},
+        {"gamma": ["g1", "g1"], "supports": {"d1": ["g1"]}},
+        {"gamma": [], "supports": {"d1": ["g1"]}},
+    ],
+    ids=["empty", "empty-wrapped", "repeated-gamma", "empty-gamma"],
+)
+def test_saturate_empty_or_repeated_ground_exits_2(capsys, tmp_path, supports):
+    path = tmp_path / "supports.json"
+    path.write_text(canonical_json(supports))
+    code, payload = run(capsys, ["saturate", "--supports", str(path)])
+    assert code == 2
+    assert payload["error"]["code"] == "input-format"
