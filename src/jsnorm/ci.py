@@ -6,6 +6,12 @@ much of it a pairwise-disjoint packing of members can cover. Both read the
 largest-coverage packing of a target from ``packing.pack_first`` over
 bitmasks in canonical atom order, memoised per target, so reports are
 deterministic. Any residual fails the check with a replayable witness.
+
+``check_ci`` runs (b) over every ordered pair on the member bitmasks, not on
+atom tuples, and keeps the set of differences already covered exactly: a
+repeated difference costs one set lookup, and each distinct difference is
+searched once, in pair order. ``check_condition_b`` is the one-pair entry
+point for callers that hold atom tuples; both share ``_Masks.decompose``.
 """
 
 from __future__ import annotations
@@ -95,6 +101,20 @@ class _Masks:
             hit = self._packings[target] = (tuple(cands[i][1] for i in picked), covered)
         return hit
 
+    def decompose(self, diff: int, cover_limit: int) -> Optional[tuple[Member, ...]]:
+        """Pairwise disjoint members covering ``diff`` exactly, or None.
+
+        Raises ``ResourceLimitError`` when ``diff`` has more than
+        ``cover_limit`` atoms, before any packing is searched.
+        """
+        size = diff.bit_count()
+        if size > cover_limit:
+            raise ResourceLimitError(f"|s \\ t| = {size} exceeds cover limit {cover_limit}")
+        if diff == 0:
+            return ()
+        parts, covered = self.packing(diff)
+        return parts if covered == diff else None
+
 
 def check_condition_b(
     family: SetFamily,
@@ -107,15 +127,8 @@ def check_condition_b(
     s = family.require(s)
     t = family.require(t)
     masks = _masks or _Masks(family)
-    diff = masks.by_member[s] & ~masks.by_member[t]
-    if diff.bit_count() > cover_limit:
-        raise ResourceLimitError(f"|s \\ t| = {diff.bit_count()} exceeds cover limit {cover_limit}")
-    if diff == 0:
-        return Decomposition(parts=())
-    parts, covered = masks.packing(diff)
-    if covered == diff:
-        return Decomposition(parts=parts)
-    return None
+    parts = masks.decompose(masks.by_member[s] & ~masks.by_member[t], cover_limit)
+    return None if parts is None else Decomposition(parts=parts)
 
 
 def identity_envelope(family: SetFamily) -> dict[Member, Member]:
@@ -226,12 +239,12 @@ def disjointify(
                     continue
                 if p_mask & ~t_mask == 0:
                     continue  # fully swallowed
-                dec = check_condition_b(family, p, t, cover_limit=cover_limit, _masks=masks)
-                if dec is None:
+                split = masks.decompose(p_mask & ~t_mask, cover_limit)
+                if split is None:
                     raise DecompositionError(
                         f"condition (b) fails for {p!r} \\ {t!r}", pair=(p, t)
                     )
-                next_parts.extend(dec.parts)
+                next_parts.extend(split)
             parts = next_parts
         kept.extend(parts)
     return Decomposition(parts=tuple(kept))
@@ -245,7 +258,15 @@ def check_ci(
     cover_limit: int = Budgets.cover_limit,
     trace_budget: int = Budgets.trace_budget,
 ) -> CiReport:
-    """Run all four axioms; failing conditions carry replayable witnesses."""
+    """Run all four axioms; failing conditions carry replayable witnesses.
+
+    Condition (b) walks the ordered pairs s != t of member bitmasks, s outer
+    and t inner in member order, and keeps the distinct differences s∖t that
+    passed the cover limit and were covered exactly, so only a new difference
+    reaches the packing search. The first pair over ``cover_limit`` raises
+    ``ResourceLimitError`` and the first pair that fails is the witness, as
+    if ``check_condition_b`` had been called on each pair in turn.
+    """
     masks = _Masks(family)
 
     missing = next((a for a in sorted(family.ground.elements) if (a,) not in family), None)
@@ -258,16 +279,18 @@ def check_ci(
             partial_report={"condition_a": cond_a},
         )
     cond_b = ConditionResult(passed=True)
-    for s in family.members:
-        done = False
-        for t in family.members:
-            if s == t:
+    covered: set[int] = set()
+    pairs = list(zip(family.members, masks.member_masks))
+    for s, s_mask in pairs:
+        for t, t_mask in pairs:
+            diff = s_mask & ~t_mask
+            if diff in covered or t is s:
                 continue
-            if check_condition_b(family, s, t, cover_limit=cover_limit, _masks=masks) is None:
+            if masks.decompose(diff, cover_limit) is None:
                 cond_b = ConditionResult(passed=False, witness={"s": s, "t": t})
-                done = True
                 break
-        if done:
+            covered.add(diff)
+        if not cond_b.passed:
             break
 
     cond_c = check_condition_c(

@@ -24,6 +24,7 @@ from .errors import (
     MissingStratumError,
     ResourceLimitError,
 )
+from .serialize import _check_atom_lists
 from .talagrand import validate_partition
 
 SEGMENT_BUDGET = 200_000
@@ -566,6 +567,11 @@ def system_from_dict(payload: dict) -> ReznSystem:
         if not all(type(parent_map) is dict for parent_map in raw_trees.values()):
             raise InputFormatError("each tree must be an object mapping node to parent")
         trees = {int(n): FiniteTree(parent_map) for n, parent_map in raw_trees.items()}
+        stage_log = payload["stage_log"]
+        _check_atom_lists(
+            list(itertools.chain.from_iterable(sat["segments"] for rec in stage_log for sat in rec["satisfied"])),
+            "stage-log segments",
+        )
         log = tuple(
             StageRecord(
                 stage=rec["stage"],
@@ -582,7 +588,7 @@ def system_from_dict(payload: dict) -> ReznSystem:
                     for sat in rec["satisfied"]
                 ),
             )
-            for rec in payload["stage_log"]
+            for rec in stage_log
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"malformed system payload: {exc}") from exc

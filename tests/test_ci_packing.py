@@ -1,11 +1,15 @@
 """Condition (b)/(c) packings from the shared kernel, against the
-include-first coverage search they replaced."""
+include-first coverage search they replaced; check_ci's condition (b) loop
+against the pair-by-pair public check, with its cover limit and work counts."""
 
 import random
 
-from jsnorm import ci
+import pytest
+
+from jsnorm import ci, core
+from jsnorm.budgets import Budgets
 from jsnorm.core import GroundSet, SetFamily, dyadic_tree, tree_segments
-from jsnorm.errors import DecompositionError
+from jsnorm.errors import DecompositionError, ResourceLimitError
 
 
 def _max_coverage_packing(cands, target):
@@ -111,3 +115,99 @@ def test_reports_match_coverage_search(monkeypatch):
     old = [_reports(f, random.Random(i), 1) for i, f in enumerate(families)]
     assert new == old
     assert any(not r["passed"] for rs in new for r in rs if isinstance(r, dict))
+
+
+def _pairwise_condition_b(family, cover_limit=Budgets.cover_limit, masks=None):
+    """Condition (b) through the public one-pair check: every ordered pair
+    s != t in member order, stopping at the first pair that fails."""
+    masks = masks or ci._Masks(family)
+    for s in family.members:
+        for t in family.members:
+            if s != t and ci.check_condition_b(family, s, t, cover_limit=cover_limit, _masks=masks) is None:
+                return ci.ConditionResult(passed=False, witness={"s": s, "t": t})
+    return ci.ConditionResult(passed=True)
+
+
+def test_condition_b_matches_pairwise_reference():
+    # Dyadic depth 1-4, depth 3/4 with a singleton and up to two more members
+    # dropped (so (b) fails), random families; identity and random envelopes.
+    rnd = random.Random(3)
+    families = [tree_segments(dyadic_tree(depth)) for depth in (1, 2, 3, 4)]
+    for full in families[2:4]:
+        singletons = [m for m in full.members if len(m) == 1]
+        for _ in range(3):
+            drop = {rnd.choice(singletons), *rnd.sample(full.members, rnd.randint(0, 2))}
+            families.append(SetFamily(full.ground, [m for m in full.members if m not in drop]))
+    families.extend(_random_family(rnd) for _ in range(30))
+    verdicts = []
+    for family in families:
+        expected = _pairwise_condition_b(family)
+        env = {t: rnd.choice([s for s in family.members if set(t) <= set(s)]) for t in family.members}
+        for envelope in (None, env):
+            assert ci.check_ci(family, envelope, sample_bound=1).condition_b == expected
+        verdicts.append(expected.passed)
+    assert True in verdicts and False in verdicts
+
+
+def test_check_ci_cover_limit_raises_at_first_pair_over_it(monkeypatch):
+    family = tree_segments(dyadic_tree(3))
+    reference = ci._Masks(family)
+    with pytest.raises(ResourceLimitError) as expected:
+        _pairwise_condition_b(family, cover_limit=2, masks=reference)
+    made = []
+
+    class Recording(ci._Masks):
+        def __init__(self, family):
+            super().__init__(family)
+            made.append(self)
+
+    monkeypatch.setattr(ci, "_Masks", Recording)
+    with pytest.raises(ResourceLimitError) as exc:
+        ci.check_ci(family, cover_limit=2)
+    assert str(exc.value) == str(expected.value)
+    # the same differences were searched, in the same order, before the raise
+    assert list(made[0]._packings) == list(reference._packings)
+
+
+def test_disjointify_cover_limit_raises_the_condition_b_error():
+    family = tree_segments(dyadic_tree(2))
+    path, middle = ("0:0", "1:0", "2:0"), ("1:0",)
+    with pytest.raises(ResourceLimitError) as expected:
+        ci.check_condition_b(family, path, middle, cover_limit=1)
+    with pytest.raises(ResourceLimitError) as exc:
+        ci.disjointify(family, [middle, path], cover_limit=1)
+    assert str(exc.value) == str(expected.value)
+
+
+def test_condition_b_work_counts(monkeypatch):
+    # Counts calls, not time: condition (b) in check_ci canonicalises no
+    # member per pair, and the packing search runs once per distinct target.
+    family = tree_segments(dyadic_tree(4))
+    calls = {"require": 0, "canonical_member": 0, "pack_first": 0}
+    targets = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def packing(self, target, _packing=ci._Masks.packing):
+        targets.append(target)
+        return _packing(self, target)
+
+    monkeypatch.setattr(SetFamily, "require", counted("require", SetFamily.require))
+    monkeypatch.setattr(core, "canonical_member", counted("canonical_member", core.canonical_member))
+    monkeypatch.setattr(ci, "canonical_member", counted("canonical_member", ci.canonical_member))
+    monkeypatch.setattr(ci, "pack_first", counted("pack_first", ci.pack_first))
+    monkeypatch.setattr(ci._Masks, "packing", packing)
+    assert ci.check_ci(family).passed
+
+    assert calls["require"] == 0
+    assert calls["canonical_member"] <= len(family.ground)  # condition (a): one per atom
+    assert calls["pack_first"] == len(set(targets))
+    masks = ci._Masks(family)
+    diffs = list(dict.fromkeys(s & ~t for s in masks.member_masks for t in masks.member_masks))
+    diffs.remove(0)
+    assert targets[: len(diffs)] == diffs  # (b) searches each difference once, in pair order

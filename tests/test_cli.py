@@ -355,6 +355,14 @@ def test_env_trace_budget_reaches_condition_c(capsys, inputs, monkeypatch):
     assert "trace budget 1" in payload["error"]["message"]
 
 
+def test_env_cover_limit_reaches_condition_b(capsys, inputs, monkeypatch):
+    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"cover_limit": 1}')
+    code, payload = run(capsys, ["check-ci", "--family", inputs["family.json"]])
+    assert code == 3
+    assert payload["error"]["code"] == "resource-limit"
+    assert "exceeds cover limit 1" in payload["error"]["message"]
+
+
 def test_env_segment_budget_is_not_a_budget(capsys, inputs, monkeypatch):
     monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"segment_budget": 5}')
     code, _ = run(capsys, ["check-ci", "--family", inputs["family.json"]])
@@ -640,7 +648,18 @@ def test_strata_schema_holes_exit_2(capsys, tmp_path, rows):
 
 @pytest.mark.parametrize(
     "fault",
-    ["missing-tree", "extra-tree", "padded-key", "float-stages", "bool-seed", "list-trees", "list-tree", "stray-node"],
+    [
+        "missing-tree",
+        "extra-tree",
+        "padded-key",
+        "float-stages",
+        "bool-seed",
+        "list-trees",
+        "list-tree",
+        "stray-node",
+        "string-segment",
+        "int-atom-segment",
+    ],
 )
 def test_search_partition_bad_system_exits_2(capsys, tmp_path, fault):
     out = tmp_path / "sys.json"
@@ -663,6 +682,10 @@ def test_search_partition_bad_system_exits_2(capsys, tmp_path, fault):
         system["trees"] = list(system["trees"].values())
     elif fault == "stray-node":
         system["trees"]["1"]["zz"] = "0:1"  # used to raise KeyError in the search
+    elif fault == "string-segment":
+        system["stage_log"][-1]["satisfied"][-1]["segments"][0] = "ab"  # was read as {a, b}
+    elif fault == "int-atom-segment":
+        system["stage_log"][-1]["satisfied"][-1]["segments"][0] = ["0:1", 5]
     else:
         system["trees"]["1"] = list(system["trees"]["1"].items())
     out.write_text(canonical_json(system))
