@@ -15,8 +15,7 @@ from .errors import InputFormatError
 
 @dataclass(frozen=True)
 class Budgets:
-    oracle_limit: int = 16  # |supp phi| in norm_oracle and norm_weighted
-    cover_limit: int = 24  # |s \ t| in condition (b) and disjointify
+    state_budget: int = 1 << 18  # DP states one packing.pack call visits
     sample_bound: int = 3  # envelope tuple length in condition (c)
     pair_budget: int = 200_000  # ordered member pairs in check_ci
     trace_budget: int = 200_000  # union traces packed by condition (c)

@@ -83,36 +83,34 @@ class _Masks:
     def unmask(self, mask: int) -> Member:
         return tuple(a for a in self.atoms if self.bit[a] & mask)
 
-    def packing(self, target: int) -> tuple[tuple[Member, ...], int]:
+    def packing(self, target: int, state_budget: int) -> tuple[tuple[Member, ...], int]:
         """Largest pairwise-disjoint packing of ``target`` by the members
         inside it, as (parts, covered mask), memoised by target.
 
         Among packings that cover the most atoms, the first in candidate
-        order (larger members first, then canonical order) wins.
+        order (larger members first, then canonical order) wins. A search
+        past ``state_budget`` DP states raises ``ResourceLimitError``.
         """
         hit = self._packings.get(target)
         if hit is None:
             cands = [(mask, member) for mask, member in self._by_size if mask & ~target == 0]
             masks = [mask for mask, _ in cands]
-            _, picked = pack_first(masks, [m.bit_count() for m in masks])
+            _, picked = pack_first(masks, [m.bit_count() for m in masks], state_budget)
             covered = 0
             for i in picked:
                 covered |= masks[i]
             hit = self._packings[target] = (tuple(cands[i][1] for i in picked), covered)
         return hit
 
-    def decompose(self, diff: int, cover_limit: int) -> Optional[tuple[Member, ...]]:
+    def decompose(self, diff: int, state_budget: int) -> Optional[tuple[Member, ...]]:
         """Pairwise disjoint members covering ``diff`` exactly, or None.
 
-        Raises ``ResourceLimitError`` when ``diff`` has more than
-        ``cover_limit`` atoms, before any packing is searched.
+        Raises ``ResourceLimitError`` when the packing search of ``diff``
+        passes ``state_budget`` DP states, whatever the size of ``diff``.
         """
-        size = diff.bit_count()
-        if size > cover_limit:
-            raise ResourceLimitError(f"|s \\ t| = {size} exceeds cover limit {cover_limit}")
         if diff == 0:
             return ()
-        parts, covered = self.packing(diff)
+        parts, covered = self.packing(diff, state_budget)
         return parts if covered == diff else None
 
 
@@ -120,14 +118,14 @@ def check_condition_b(
     family: SetFamily,
     s: Iterable[str],
     t: Iterable[str],
-    cover_limit: int = Budgets.cover_limit,
+    state_budget: int = Budgets.state_budget,
     _masks: Optional[_Masks] = None,
 ) -> Optional[Decomposition]:
     """Exact cover of s∖t by pairwise disjoint members; None if impossible."""
     s = family.require(s)
     t = family.require(t)
     masks = _masks or _Masks(family)
-    parts = masks.decompose(masks.by_member[s] & ~masks.by_member[t], cover_limit)
+    parts = masks.decompose(masks.by_member[s] & ~masks.by_member[t], state_budget)
     return None if parts is None else Decomposition(parts=parts)
 
 
@@ -158,6 +156,7 @@ def check_condition_c(
     envelope: Optional[Mapping[Member, Member]] = None,
     sample_bound: int = Budgets.sample_bound,
     trace_budget: int = Budgets.trace_budget,
+    state_budget: int = Budgets.state_budget,
     _masks: Optional[_Masks] = None,
 ) -> ConditionResult:
     """For every member s and every envelope tuple of length <= sample_bound,
@@ -197,7 +196,7 @@ def check_condition_c(
             target = s_mask & ~u
             if target == 0:
                 continue
-            parts, covered = masks.packing(target)
+            parts, covered = masks.packing(target, state_budget)
             residual = (target & ~covered).bit_count()
             if residual:
                 return ConditionResult(
@@ -216,8 +215,7 @@ def check_condition_c(
 def disjointify(
     family: SetFamily,
     inputs: list,
-    cover_limit: int = Budgets.cover_limit,
-    _masks: Optional[_Masks] = None,
+    state_budget: int = Budgets.state_budget,
 ) -> Decomposition:
     """Rewrite ⋃inputs as pairwise disjoint members, each inside some input.
 
@@ -225,7 +223,7 @@ def disjointify(
     condition-(b) decompositions against the members already kept.
     """
     canon_inputs = [family.require(m) for m in inputs]
-    masks = _masks or _Masks(family)
+    masks = _Masks(family)
     kept: list[Member] = []
     for s in canon_inputs:
         parts = [s]
@@ -239,7 +237,7 @@ def disjointify(
                     continue
                 if p_mask & ~t_mask == 0:
                     continue  # fully swallowed
-                split = masks.decompose(p_mask & ~t_mask, cover_limit)
+                split = masks.decompose(p_mask & ~t_mask, state_budget)
                 if split is None:
                     raise DecompositionError(
                         f"condition (b) fails for {p!r} \\ {t!r}", pair=(p, t)
@@ -255,17 +253,18 @@ def check_ci(
     envelope: Optional[Mapping[Member, Member]] = None,
     sample_bound: int = Budgets.sample_bound,
     pair_budget: int = Budgets.pair_budget,
-    cover_limit: int = Budgets.cover_limit,
+    state_budget: int = Budgets.state_budget,
     trace_budget: int = Budgets.trace_budget,
 ) -> CiReport:
     """Run all four axioms; failing conditions carry replayable witnesses.
 
     Condition (b) walks the ordered pairs s != t of member bitmasks, s outer
     and t inner in member order, and keeps the distinct differences s∖t that
-    passed the cover limit and were covered exactly, so only a new difference
-    reaches the packing search. The first pair over ``cover_limit`` raises
-    ``ResourceLimitError`` and the first pair that fails is the witness, as
-    if ``check_condition_b`` had been called on each pair in turn.
+    were covered exactly, so only a new difference reaches the packing
+    search. The first pair whose search passes ``state_budget`` DP states
+    raises ``ResourceLimitError``, and the first pair that fails is the
+    witness, as if ``check_condition_b`` had been called on each pair in
+    turn. Condition (c) packs its traces under the same ``state_budget``.
     """
     masks = _Masks(family)
 
@@ -286,7 +285,7 @@ def check_ci(
             diff = s_mask & ~t_mask
             if diff in covered or t is s:
                 continue
-            if masks.decompose(diff, cover_limit) is None:
+            if masks.decompose(diff, state_budget) is None:
                 cond_b = ConditionResult(passed=False, witness={"s": s, "t": t})
                 break
             covered.add(diff)
@@ -298,6 +297,7 @@ def check_ci(
         envelope,
         sample_bound=sample_bound,
         trace_budget=trace_budget,
+        state_budget=state_budget,
         _masks=masks,
     )
 

@@ -75,7 +75,7 @@ def _cmd_check_ci(args, budgets: Budgets) -> tuple[dict, int]:
         envelope,
         sample_bound=budgets.sample_bound,
         pair_budget=budgets.pair_budget,
-        cover_limit=budgets.cover_limit,
+        state_budget=budgets.state_budget,
         trace_budget=budgets.trace_budget,
     )
     payload = {"command": "check-ci", **ci.report_to_dict(report)}
@@ -89,7 +89,7 @@ def _cmd_norm(args, budgets: Budgets) -> tuple[dict, int]:
     if args.family is not None:
         family = family_from_dict(load_json(args.family))
         phi = vector_from_dict(load_json(args.vector), family.ground)
-        result = norm.norm_oracle(family, phi, oracle_limit=budgets.oracle_limit)
+        result = norm.norm_oracle(family, phi, state_budget=budgets.state_budget)
     else:
         tree = tree_from_dict(load_json(args.tree))
         phi = vector_from_dict(load_json(args.vector), tree.ground_set())
@@ -108,7 +108,7 @@ def _cmd_norm_re(args, budgets: Budgets) -> tuple[dict, int]:
     precision = _precision(args)
     sets, ground = weighted_family_from_dict(load_json(args.weighted))
     phi = vector_from_dict(load_json(args.vector), ground)
-    result = norm.norm_weighted(sets, phi, oracle_limit=budgets.oracle_limit)
+    result = norm.norm_weighted(sets, phi, state_budget=budgets.state_budget)
     payload = {
         "command": "norm-re",
         "norm_sq": format_fraction(result.norm_sq),
@@ -122,7 +122,7 @@ def _cmd_norm_re(args, budgets: Budgets) -> tuple[dict, int]:
 def _cmd_disjointify(args, budgets: Budgets) -> tuple[dict, int]:
     family = family_from_dict(load_json(args.family))
     members = members_from_dict(load_json(args.members))
-    result = ci.disjointify(family, members, cover_limit=budgets.cover_limit)
+    result = ci.disjointify(family, members, state_budget=budgets.state_budget)
     return {"command": "disjointify", "parts": _member_list(result.parts)}, 0
 
 
@@ -188,15 +188,19 @@ def _grid_strata(family) -> dict:
     len(str(B - 1)); a member's stratum is its first differing digit,
     (first differing character) // w + 1, and singletons sit in stratum 1.
     Where two grids name the same atoms ("00".."99" is SeqGrid(10, 2) and
-    SeqGrid(100, 1)) the narrower digits are read.
+    SeqGrid(100, 1)) the file cannot tell their strata apart, so the
+    command exits 2 and asks for ``--strata``.
     """
     atoms = family.ground.elements
     chars = len(atoms[0])
-    for width in range(1, chars + 1):
-        if chars % width == 0 and _is_digit_grid(atoms, width, chars // width):
-            break
-    else:
+    fits = {w: _grid_branching(atoms, w, chars // w) for w in range(1, chars + 1) if not chars % w}
+    grids = {w: f"SeqGrid({b}, {chars // w})" for w, b in fits.items() if b is not None}
+    if not grids:
         raise InputFormatError("the ground of an admissible family must be a digit grid SeqGrid(B, L)")
+    if len(grids) > 1:
+        names = " and ".join(grids.values())
+        raise InputFormatError(f"the ground fits {names}; give its strata with --strata")
+    (width,) = grids
     strata = {}
     for m in family.members:
         if len(m) == 1:
@@ -207,13 +211,14 @@ def _grid_strata(family) -> dict:
     return strata
 
 
-def _is_digit_grid(atoms, width: int, length: int) -> bool:
-    """True when ``atoms`` are exactly the atoms of SeqGrid(B, length) with
-    digits of ``width`` characters."""
+def _grid_branching(atoms, width: int, length: int) -> Optional[int]:
+    """B when ``atoms`` are exactly the atoms of SeqGrid(B, length) with
+    digits of ``width`` characters, else None."""
     b = round(len(atoms) ** (1 / length))
     if b < 2 or b**length != len(atoms) or len(str(b - 1)) != width:
-        return False
-    return set(atoms) == set(talagrand.SeqGrid(b, length, grid_budget=len(atoms)).elements)
+        return None
+    grid = talagrand.SeqGrid(b, length, grid_budget=len(atoms))
+    return b if set(atoms) == set(grid.elements) else None
 
 
 def _cmd_eberleinize(args, budgets: Budgets) -> tuple[dict, int]:

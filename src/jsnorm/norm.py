@@ -28,7 +28,6 @@ from .errors import (
     GroundMismatchError,
     InvalidComboError,
     InvalidEpsilonError,
-    ResourceLimitError,
 )
 from .packing import pack, pack_first
 
@@ -128,7 +127,7 @@ def _has_cross_conflicts(fmasks: Sequence[int], tmasks: Sequence[int], k: int) -
 def norm_oracle(
     family: SetFamily,
     phi: FinVector,
-    oracle_limit: int = Budgets.oracle_limit,
+    state_budget: int = Budgets.state_budget,
 ) -> NormResult:
     """Exhaustive James-style norm over all pairwise disjoint subfamilies.
 
@@ -137,13 +136,12 @@ def norm_oracle(
     When no pair overlaps outside the support (always true for the minimal
     representatives of tree segments), packing feasibility depends on traces
     alone and a subset DP over support atoms is exact; otherwise the same DP
-    runs on full member masks, with the first optimum in index order.
+    runs on full member masks, with the first optimum in index order. Either
+    DP raises ``ResourceLimitError`` past ``state_budget`` states.
     """
     if not family.ground.covers(phi.support):
         raise GroundMismatchError("vector support is not contained in the family ground set")
     supp = phi.support
-    if len(supp) > oracle_limit:
-        raise ResourceLimitError(f"|supp phi| = {len(supp)} exceeds oracle limit {oracle_limit}")
     if phi.is_zero():
         return NormResult(Fraction(0), (), "oracle")
 
@@ -185,11 +183,11 @@ def norm_oracle(
 
     squares = [v * v for v in values]
     if _has_cross_conflicts(fmasks, tmasks, k):
-        best, idx = pack_first(fmasks, squares)
+        best, idx = pack_first(fmasks, squares, state_budget)
         witness = sort_members(members[i] for i in idx)
         return NormResult(Fraction(best, denom * denom), witness, "oracle")
 
-    total, picked = pack(tmasks, squares)
+    total, picked = pack(tmasks, squares, state_budget)
     witness = sort_members(members[i] for i in picked)
     return NormResult(Fraction(total, denom * denom), witness, "oracle")
 
@@ -226,26 +224,15 @@ def norm_tree_dp(tree: FiniteTree, phi: FinVector) -> NormResult:
     done: dict[str, tuple[int, list[Member], dict[int, tuple[int, list[Member], tuple[str, ...]]]]] = {}
     for v in order:
         phi_v = weight.get(v, 0)
-        closed_best: list[int] = []
-        closed_wit: list[list[Member]] = []
-        child_frontiers = []
-        for c in tree.children(v):
-            b, bw, fr = done.pop(c)
-            cb, cw = b, bw
-            for sigma, (val, wit, chain) in fr.items():
-                cand = val + sigma * sigma
-                if cand > cb:
-                    cb = cand
-                    cw = wit + [canonical_member(chain)]
-            closed_best.append(cb)
-            closed_wit.append(cw)
-            child_frontiers.append(fr)
+        kids = [done.pop(c) for c in tree.children(v)]
+        closed_best = [b for b, _, _ in kids]
+        closed_wit = [bw for _, bw, _ in kids]
         sum_closed = sum(closed_best)
 
         frontier: dict[int, tuple[int, list[Member], tuple[str, ...]]] = {}
         all_closed: list[Member] = [m for w in closed_wit for m in w]
         frontier[phi_v] = (sum_closed, all_closed, (v,))
-        for j, fr in enumerate(child_frontiers):
+        for j, (_, _, fr) in enumerate(kids):
             others = [m for i, w in enumerate(closed_wit) if i != j for m in w]
             rest = sum_closed - closed_best[j]
             for sigma, (val, wit, chain) in fr.items():
@@ -263,29 +250,18 @@ def norm_tree_dp(tree: FiniteTree, phi: FinVector) -> NormResult:
                 bw_v = wit + [canonical_member(chain)]
         done[v] = (b_v, bw_v, frontier)
 
-    total = 0
-    witness: list[Member] = []
-    for r in tree.roots:
-        b, bw, fr = done[r]
-        for sigma, (val, wit, chain) in fr.items():
-            cand = val + sigma * sigma
-            if cand > b:
-                b = cand
-                bw = wit + [canonical_member(chain)]
-        total += b
-        witness.extend(bw)
+    total = sum(done[r][0] for r in tree.roots)
+    witness = [m for r in tree.roots for m in done[r][1]]
     return NormResult(Fraction(total, denom * denom), sort_members(witness), "tree-dp")
 
 
 def norm_weighted(
     familyE: Sequence[WeightedSet],
     phi: FinVector,
-    oracle_limit: int = Budgets.oracle_limit,
+    state_budget: int = Budgets.state_budget,
 ) -> NormResult:
-    """Max Σ⟨φ,gᵢ⟩² over subfamilies with pairwise disjoint supports."""
-    supp = phi.support
-    if len(supp) > oracle_limit:
-        raise ResourceLimitError(f"|supp phi| = {len(supp)} exceeds oracle limit {oracle_limit}")
+    """Max Σ⟨φ,gᵢ⟩² over subfamilies with pairwise disjoint supports; the DP
+    runs over the whole supports of the sets with ⟨φ,g⟩ ≠ 0."""
     values = [weighted_eval(g, phi) for g in familyE]
     scaled, denom = _scale_to_ints(values)
 
@@ -306,7 +282,7 @@ def norm_weighted(
             mask |= bit[a]
         cand_masks.append(mask)
 
-    best, idx = pack_first(cand_masks, [v * v for v in cand_values])
+    best, idx = pack_first(cand_masks, [v * v for v in cand_values], state_budget)
     return NormResult(Fraction(best, denom * denom), tuple(cands[i] for i in idx), "oracle")
 
 
@@ -369,7 +345,7 @@ def greedy_extract(
     phis: Sequence[FinVector],
     epsilon: Fraction | int | str,
     fraction: Fraction = Fraction(1, 2),
-    oracle_limit: int = Budgets.oracle_limit,
+    state_budget: int = Budgets.state_budget,
     trusted: bool = False,
 ) -> GreedyCertificate:
     """Iteratively pick disjoint members acting above ε on most survivors.
@@ -386,7 +362,7 @@ def greedy_extract(
         raise InvalidEpsilonError("fraction must lie in (0, 1]")
     if not trusted:
         for i, phi in enumerate(phis):
-            if norm_oracle(family, phi, oracle_limit=oracle_limit).norm_sq > 1:
+            if norm_oracle(family, phi, state_budget=state_budget).norm_sq > 1:
                 raise InvalidComboError(f"vector {i} lies outside the unit ball")
 
     k_bound = greedy_bound(epsilon)

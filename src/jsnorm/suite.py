@@ -106,8 +106,8 @@ def criterion_1_oracle_dp(seed: int, budgets: Budgets) -> dict:
         family = tree_segments(tree)
         ground = tree.ground_set()
         for _ in range(500):
-            phi = _rand_vector(rnd, ground, max_support=budgets.oracle_limit)
-            a = norm_oracle(family, phi, oracle_limit=budgets.oracle_limit)
+            phi = _rand_vector(rnd, ground, max_support=16)
+            a = norm_oracle(family, phi, state_budget=budgets.state_budget)
             b = norm_tree_dp(tree, phi)
             cases += 1
             if a.norm_sq != b.norm_sq:
@@ -129,10 +129,10 @@ def criterion_2_norm_axioms(seed: int, budgets: Budgets) -> dict:
     bad = {"homogeneity": 0, "triangle": 0, "l2_bound": 0, "unit_vectors": 0}
 
     vectors = [_rand_vector(rnd, ground) for _ in range(1000)]
-    norms = [norm_oracle(family, phi).norm_sq for phi in vectors]
+    norms = [norm_oracle(family, phi, state_budget=budgets.state_budget).norm_sq for phi in vectors]
     for phi, nsq in zip(vectors, norms):
         c = Fraction(rnd.choice([-3, -2, -1, 1, 2, 3]), rnd.randint(1, 4))
-        if norm_oracle(family, phi.scale(c)).norm_sq != c * c * nsq:
+        if norm_oracle(family, phi.scale(c), state_budget=budgets.state_budget).norm_sq != c * c * nsq:
             bad["homogeneity"] += 1
         if nsq < sum((v * v for v in phi.entries.values()), Fraction(0)):
             bad["l2_bound"] += 1
@@ -140,13 +140,13 @@ def criterion_2_norm_axioms(seed: int, budgets: Budgets) -> dict:
     tol = decimal.Decimal("1e-9")
     for i in range(0, 1000, 2):
         phi, psi = vectors[i], vectors[i + 1]
-        lhs = sqrt_decimal(norm_oracle(family, phi + psi).norm_sq)
+        lhs = sqrt_decimal(norm_oracle(family, phi + psi, state_budget=budgets.state_budget).norm_sq)
         rhs = sqrt_decimal(norms[i]) + sqrt_decimal(norms[i + 1])
         if lhs > rhs + tol:
             bad["triangle"] += 1
 
     for a in ground.elements:
-        if norm_oracle(family, unit_vector(ground, a)).norm_sq != 1:
+        if norm_oracle(family, unit_vector(ground, a), state_budget=budgets.state_budget).norm_sq != 1:
             bad["unit_vectors"] += 1
 
     return {
@@ -165,7 +165,7 @@ def criterion_3_dual_bounds(seed: int, budgets: Budgets) -> dict:
     bad = {"witness_identity": 0, "witness_validity": 0, "cauchy_schwarz": 0}
     for _ in range(500):
         phi = _rand_vector(rnd, ground)
-        res = norm_oracle(family, phi)
+        res = norm_oracle(family, phi, state_budget=budgets.state_budget)
         recomputed = sum(
             (functional_eval(s, phi) ** 2 for s in res.witness), Fraction(0)
         )
@@ -206,7 +206,7 @@ def criterion_4_disjointify(seed: int, budgets: Budgets) -> dict:
         k = rnd.randint(1, 6)
         inputs = [rnd.choice(family.members) for _ in range(k)]
         try:
-            result = ci_mod.disjointify(family, inputs, cover_limit=budgets.cover_limit)
+            result = ci_mod.disjointify(family, inputs, state_budget=budgets.state_budget)
         except Exception:
             bad["errors"] += 1
             continue
@@ -248,7 +248,7 @@ def _replay_ci_failure(family: SetFamily, report: ci_mod.CiReport, budgets: Budg
     if not report.condition_b.passed:
         w = report.condition_b.witness
         return (
-            ci_mod.check_condition_b(family, w["s"], w["t"], cover_limit=budgets.cover_limit)
+            ci_mod.check_condition_b(family, w["s"], w["t"], state_budget=budgets.state_budget)
             is None
         )
     if not report.condition_c.passed:
@@ -274,7 +274,7 @@ def criterion_5_ci_suite(seed: int, budgets: Budgets) -> dict:
             family,
             sample_bound=budgets.sample_bound,
             pair_budget=budgets.pair_budget,
-            cover_limit=budgets.cover_limit,
+            state_budget=budgets.state_budget,
             trace_budget=budgets.trace_budget,
         )
         if not report.passed:
@@ -291,7 +291,7 @@ def criterion_5_ci_suite(seed: int, budgets: Budgets) -> dict:
             reduced,
             sample_bound=budgets.sample_bound,
             pair_budget=budgets.pair_budget,
-            cover_limit=budgets.cover_limit,
+            state_budget=budgets.state_budget,
             trace_budget=budgets.trace_budget,
         )
         if report.passed:
@@ -389,12 +389,12 @@ def criterion_7_greedy(seed: int, budgets: Budgets) -> dict:
         phis = []
         for _ in range(rnd.randint(2, 5)):
             phi = _rand_vector(rnd, ground)
-            nsq = norm_oracle(family, phi).norm_sq
+            nsq = norm_oracle(family, phi, state_budget=budgets.state_budget).norm_sq
             if nsq > 1:
                 phi = phi.scale(Fraction(1, _int_sqrt_ceil(nsq)))
             phis.append(phi)
         eps = rnd.choice(epsilons)
-        cert = greedy_extract(family, phis, eps)
+        cert = greedy_extract(family, phis, eps, state_budget=budgets.state_budget)
         ok = (
             len(cert.chosen_sets) <= cert.k_bound
             and _pairwise_disjoint(cert.chosen_sets)

@@ -1,15 +1,20 @@
+import ast
 import inspect
+from pathlib import Path
 
 import pytest
 
+import jsnorm
 from jsnorm import Budgets, InputFormatError, admissible_family, build, check_ci, disjointify, norm_oracle
+from jsnorm.ci import check_condition_b, check_condition_c
+from jsnorm.norm import greedy_extract, norm_weighted
+from jsnorm.packing import pack, pack_first
 from jsnorm.talagrand import SeqGrid
 
 
 def test_defaults():
     assert Budgets() == Budgets(
-        oracle_limit=16,
-        cover_limit=24,
+        state_budget=1 << 18,
         sample_bound=3,
         pair_budget=200_000,
         trace_budget=200_000,
@@ -33,7 +38,30 @@ def test_unknown_budget_is_rejected():
 
 def test_library_defaults_come_from_the_table():
     defaults = Budgets()
-    for fn in (norm_oracle, check_ci, disjointify, admissible_family, build, SeqGrid):
+    for fn in (
+        norm_oracle,
+        norm_weighted,
+        greedy_extract,
+        check_condition_b,
+        check_condition_c,
+        check_ci,
+        disjointify,
+        pack,
+        pack_first,
+        admissible_family,
+        build,
+        SeqGrid,
+    ):
         for name, param in inspect.signature(fn).parameters.items():
             if name in Budgets.__dataclass_fields__:
                 assert param.default == getattr(defaults, name), (fn.__name__, name)
+
+
+def test_every_budget_is_read_outside_its_table():
+    # A field that no module reads by name is a knob that bounds nothing.
+    src = Path(jsnorm.__file__).parent
+    read = set()
+    for path in src.glob("*.py"):
+        if path.name != "budgets.py":
+            read.update(n.attr for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Attribute))
+    assert sorted(set(Budgets.__dataclass_fields__) - read) == []

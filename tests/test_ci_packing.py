@@ -1,6 +1,6 @@
 """Condition (b)/(c) packings from the shared kernel, against the
 include-first coverage search they replaced; check_ci's condition (b) loop
-against the pair-by-pair public check, with its cover limit and work counts."""
+against the pair-by-pair public check, with its state budget and work counts."""
 
 import random
 
@@ -47,8 +47,9 @@ def _max_coverage_packing(cands, target):
     return best_parts, best_mask
 
 
-def _dfs_packing(masks, target):
-    """The old per-call candidate scan feeding the include-first search."""
+def _dfs_packing(masks, target, state_budget=None):
+    """The old per-call candidate scan feeding the include-first search;
+    it has no state count, so ``state_budget`` is not read."""
     cands = [(mask, member) for member, mask in masks.by_member.items() if mask and mask & ~target == 0]
     cands.sort(key=lambda c: (-len(c[1]), c[1]))
     parts, covered = _max_coverage_packing(cands, target)
@@ -74,8 +75,8 @@ def test_random_packings_match_coverage_search():
         for _ in range(8):
             target = rnd.randint(1, full)
             expected = _dfs_packing(masks, target)
-            assert masks.packing(target) == expected
-            assert masks.packing(target) == expected  # memoised
+            assert masks.packing(target, Budgets.state_budget) == expected
+            assert masks.packing(target, Budgets.state_budget) == expected  # memoised
 
 
 def _reports(family, rnd, runs):
@@ -117,13 +118,13 @@ def test_reports_match_coverage_search(monkeypatch):
     assert any(not r["passed"] for rs in new for r in rs if isinstance(r, dict))
 
 
-def _pairwise_condition_b(family, cover_limit=Budgets.cover_limit, masks=None):
+def _pairwise_condition_b(family, state_budget=Budgets.state_budget, masks=None):
     """Condition (b) through the public one-pair check: every ordered pair
     s != t in member order, stopping at the first pair that fails."""
     masks = masks or ci._Masks(family)
     for s in family.members:
         for t in family.members:
-            if s != t and ci.check_condition_b(family, s, t, cover_limit=cover_limit, _masks=masks) is None:
+            if s != t and ci.check_condition_b(family, s, t, state_budget=state_budget, _masks=masks) is None:
                 return ci.ConditionResult(passed=False, witness={"s": s, "t": t})
     return ci.ConditionResult(passed=True)
 
@@ -149,11 +150,13 @@ def test_condition_b_matches_pairwise_reference():
     assert True in verdicts and False in verdicts
 
 
-def test_check_ci_cover_limit_raises_at_first_pair_over_it(monkeypatch):
+def test_check_ci_state_budget_raises_at_first_pair_over_it(monkeypatch):
+    # The first differences of depth 3 need at most 3 DP states each; a
+    # budget of 3 lets them through and raises at the first one needing 4.
     family = tree_segments(dyadic_tree(3))
     reference = ci._Masks(family)
     with pytest.raises(ResourceLimitError) as expected:
-        _pairwise_condition_b(family, cover_limit=2, masks=reference)
+        _pairwise_condition_b(family, state_budget=3, masks=reference)
     made = []
 
     class Recording(ci._Masks):
@@ -163,19 +166,22 @@ def test_check_ci_cover_limit_raises_at_first_pair_over_it(monkeypatch):
 
     monkeypatch.setattr(ci, "_Masks", Recording)
     with pytest.raises(ResourceLimitError) as exc:
-        ci.check_ci(family, cover_limit=2)
+        ci.check_ci(family, state_budget=3)
     assert str(exc.value) == str(expected.value)
     # the same differences were searched, in the same order, before the raise
     assert list(made[0]._packings) == list(reference._packings)
+    assert len(reference._packings) > 1
 
 
-def test_disjointify_cover_limit_raises_the_condition_b_error():
+def test_disjointify_state_budget_raises_the_condition_b_error():
+    # {0:0, 2:0} is packed by its two singletons over 2 DP states.
     family = tree_segments(dyadic_tree(2))
     path, middle = ("0:0", "1:0", "2:0"), ("1:0",)
+    assert ci.check_condition_b(family, path, middle, state_budget=2) is not None
     with pytest.raises(ResourceLimitError) as expected:
-        ci.check_condition_b(family, path, middle, cover_limit=1)
+        ci.check_condition_b(family, path, middle, state_budget=1)
     with pytest.raises(ResourceLimitError) as exc:
-        ci.disjointify(family, [middle, path], cover_limit=1)
+        ci.disjointify(family, [middle, path], state_budget=1)
     assert str(exc.value) == str(expected.value)
 
 
@@ -193,9 +199,9 @@ def test_condition_b_work_counts(monkeypatch):
 
         return wrapper
 
-    def packing(self, target, _packing=ci._Masks.packing):
+    def packing(self, target, state_budget, _packing=ci._Masks.packing):
         targets.append(target)
-        return _packing(self, target)
+        return _packing(self, target, state_budget)
 
     monkeypatch.setattr(SetFamily, "require", counted("require", SetFamily.require))
     monkeypatch.setattr(core, "canonical_member", counted("canonical_member", core.canonical_member))
@@ -211,3 +217,13 @@ def test_condition_b_work_counts(monkeypatch):
     diffs = list(dict.fromkeys(s & ~t for s in masks.member_masks for t in masks.member_masks))
     diffs.remove(0)
     assert targets[: len(diffs)] == diffs  # (b) searches each difference once, in pair order
+
+
+def test_condition_c_state_budget_on_one_large_member():
+    # One 30-atom member over its singletons; at sample_bound 1 its traces
+    # leave 29 atoms, which the singletons pack over 29 DP states.
+    atoms = [f"a{i:02d}" for i in range(30)]
+    family = SetFamily(GroundSet(atoms), [[a] for a in atoms] + [atoms])
+    assert ci.check_condition_c(family, sample_bound=1, state_budget=29).passed
+    with pytest.raises(ResourceLimitError):
+        ci.check_condition_c(family, sample_bound=1, state_budget=28)

@@ -325,6 +325,24 @@ def test_eberleinize_admissible_family_off_a_digit_grid_exits_2(capsys, tmp_path
         assert payload["error"]["code"] == "input-format"
 
 
+def test_eberleinize_on_an_ambiguous_digit_grid_exits_2(capsys, tmp_path):
+    # SeqGrid(10, 2) and SeqGrid(100, 1) write the same family file at size 2.
+    family, strata = admissible_family(SeqGrid(100, 1), max_size=2)
+    path = tmp_path / "adm100.json"
+    path.write_text(canonical_json(family_to_dict(family)))
+    code, payload = run(capsys, ["eberleinize", "--family", str(path)])
+    assert code == 2
+    assert payload["error"]["code"] == "input-format"
+    message = payload["error"]["message"]
+    assert "SeqGrid(10, 2)" in message and "SeqGrid(100, 1)" in message and "--strata" in message
+    strata_path = tmp_path / "strata.json"
+    strata_path.write_text(canonical_json({"strata": [[list(m), n] for m, n in strata.items()]}))
+    code, payload = run(capsys, ["eberleinize", "--family", str(path), "--strata", str(strata_path)])
+    assert code == 0
+    for m, row in zip(family.members, payload["weighted"]):
+        assert row == {a: "1/1" for a in m}
+
+
 def test_saturate_command(capsys, inputs):
     code, payload = run(capsys, ["saturate", "--supports", inputs["supports.json"]])
     assert code == 0
@@ -333,7 +351,8 @@ def test_saturate_command(capsys, inputs):
 
 
 def test_env_budget_override(capsys, inputs, monkeypatch):
-    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"oracle_limit": 2}')
+    # this norm's DP visits 4 states (tests/test_norm.py::test_norm_oracle_limit)
+    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"state_budget": 3}')
     code, payload = run(
         capsys,
         ["norm", "--family", inputs["family.json"], "--vector", inputs["vector.json"]],
@@ -355,12 +374,71 @@ def test_env_trace_budget_reaches_condition_c(capsys, inputs, monkeypatch):
     assert "trace budget 1" in payload["error"]["message"]
 
 
-def test_env_cover_limit_reaches_condition_b(capsys, inputs, monkeypatch):
-    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"cover_limit": 1}')
+def test_env_state_budget_reaches_condition_b(capsys, inputs, monkeypatch):
+    # ({0:0, 1:0}, {1:1}) is the first pair whose difference needs 2 DP states
+    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"state_budget": 1}')
     code, payload = run(capsys, ["check-ci", "--family", inputs["family.json"]])
     assert code == 3
     assert payload["error"]["code"] == "resource-limit"
-    assert "exceeds cover limit 1" in payload["error"]["message"]
+    assert "state_budget = 1" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("key", ["oracle_limit", "cover_limit"])
+def test_env_old_size_limits_are_unknown_keys(capsys, inputs, monkeypatch, key):
+    monkeypatch.setenv(cli.ENV_BUDGET_VAR, f'{{"{key}": 16}}')
+    code, payload = run(capsys, ["norm", "--family", inputs["family.json"], "--vector", inputs["vector.json"]])
+    assert code == 2
+    assert f"unknown budget {key!r}" in payload["error"]["message"]
+
+
+def _path_files(tmp_path, n):
+    names = [f"n{i:02d}" for i in range(n)]
+    tree = FiniteTree({a: (names[i - 1] if i else None) for i, a in enumerate(names)})
+    phi = FinVector(tree.ground_set(), {a: (-1) ** i * (i % 3 + 1) for i, a in enumerate(names)})
+    paths = {}
+    for name, payload in (
+        ("family", family_to_dict(tree_segments(tree))),
+        ("tree", tree_to_dict(tree)),
+        ("vector", vector_to_dict(phi)),
+    ):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(canonical_json(payload))
+    return paths
+
+
+def test_norm_of_a_20_atom_support_counts_states(capsys, tmp_path, monkeypatch):
+    # On a path named in chain order the trace DP peels the first atom, so
+    # its states are the 20 suffixes of the chain, not 2^20.
+    paths = _path_files(tmp_path, 20)
+    _, tree = run(capsys, ["norm", "--tree", str(paths["tree"]), "--vector", str(paths["vector"])])
+    family_argv = ["norm", "--family", str(paths["family"]), "--vector", str(paths["vector"])]
+    code, payload = run(capsys, family_argv)
+    assert code == 0
+    assert (payload["norm_sq"], payload["witness"]) == (tree["norm_sq"], tree["witness"])
+    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"state_budget": 20}')
+    assert run(capsys, family_argv)[0] == 0
+    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"state_budget": 19}')
+    code, payload = run(capsys, family_argv)
+    assert code == 3
+    assert payload["error"]["code"] == "resource-limit"
+
+
+def test_norm_re_counts_states_outside_the_support(capsys, tmp_path, monkeypatch):
+    # |supp phi| = 1, but the DP runs over the 20 atoms of the one weighted
+    # set that meets it: 20 states, a chain peeled from its first atom.
+    atoms = ["a"] + [f"x{i:02d}" for i in range(1, 20)]
+    weighted = tmp_path / "weighted.json"
+    weighted.write_text(canonical_json({"ground": atoms, "weighted": [{x: "1/1" for x in atoms}]}))
+    vector = tmp_path / "vector.json"
+    vector.write_text(canonical_json({"entries": {"a": "1/1"}}))
+    argv = ["norm-re", "--weighted", str(weighted), "--vector", str(vector)]
+    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"state_budget": 20}')
+    code, payload = run(capsys, argv)
+    assert (code, payload["norm_sq"]) == (0, "1/1")
+    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"state_budget": 19}')
+    code, payload = run(capsys, argv)
+    assert code == 3
+    assert payload["error"]["code"] == "resource-limit"
 
 
 def test_env_segment_budget_is_not_a_budget(capsys, inputs, monkeypatch):
@@ -371,29 +449,29 @@ def test_env_segment_budget_is_not_a_budget(capsys, inputs, monkeypatch):
 
 def test_env_budget_nonpositive_exits_2(capsys, inputs, monkeypatch):
     for value in ("0", "-1"):
-        monkeypatch.setenv(cli.ENV_BUDGET_VAR, f'{{"cover_limit": {value}}}')
+        monkeypatch.setenv(cli.ENV_BUDGET_VAR, f'{{"state_budget": {value}}}')
         code, payload = run(capsys, ["check-ci", "--family", inputs["family.json"]])
         assert code == 2
         assert payload["error"]["code"] == "input-format"
-        assert "cover_limit must be a positive integer" in payload["error"]["message"]
+        assert "state_budget must be a positive integer" in payload["error"]["message"]
 
 
 @pytest.mark.parametrize("value", ["16.0", '"16"', "null", "[16]"])
 def test_env_budget_non_integer_exits_2(capsys, inputs, monkeypatch, value):
-    monkeypatch.setenv(cli.ENV_BUDGET_VAR, f'{{"oracle_limit": {value}}}')
+    monkeypatch.setenv(cli.ENV_BUDGET_VAR, f'{{"state_budget": {value}}}')
     code, payload = run(capsys, ["saturate", "--supports", inputs["supports.json"]])
     assert code == 2
-    assert "oracle_limit must be a positive integer" in payload["error"]["message"]
+    assert "state_budget must be a positive integer" in payload["error"]["message"]
 
 
 def test_env_budget_bool_is_rejected(capsys, inputs, monkeypatch):
-    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"oracle_limit": true}')
+    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"state_budget": true}')
     code, payload = run(
         capsys,
         ["norm", "--family", inputs["family.json"], "--vector", inputs["vector.json"]],
     )
     assert code == 2
-    assert "oracle_limit must be a positive integer" in payload["error"]["message"]
+    assert "state_budget must be a positive integer" in payload["error"]["message"]
 
 
 def test_env_budget_malformed_json_exits_2(capsys, inputs, monkeypatch):

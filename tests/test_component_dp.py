@@ -6,11 +6,17 @@ from fractions import Fraction
 import pytest
 
 from jsnorm import packing
+from jsnorm.budgets import Budgets
+from jsnorm.errors import ResourceLimitError
 from jsnorm.core import FiniteTree, FinVector, GroundSet, SetFamily, dyadic_tree, tree_segments
 from jsnorm.norm import norm_oracle, norm_tree_dp
 
 # Bound before any test spies on packing._component_dp.
-_reachable_dp = packing._component_dp
+_component_dp = packing._component_dp
+
+
+def _reachable_dp(tmasks, squares, k_c, budget=Budgets.state_budget, spent=0):
+    return _component_dp(tmasks, squares, k_c, budget, spent)
 
 
 def _full_table_dp(tmasks, squares, k_c):
@@ -50,9 +56,9 @@ def recorded(monkeypatch):
     """Every (tmasks, squares, k_c) that norm_oracle hands to the component DP."""
     calls = []
 
-    def spy(tmasks, squares, k_c):
+    def spy(tmasks, squares, k_c, *budget):
         calls.append((list(tmasks), list(squares), k_c))
-        return _reachable_dp(tmasks, squares, k_c)
+        return _reachable_dp(tmasks, squares, k_c, *budget)
 
     monkeypatch.setattr(packing, "_component_dp", spy)
     return calls
@@ -65,7 +71,7 @@ def test_random_components_match_full_table():
         tmasks = [rnd.randint(1, (1 << k) - 1) for _ in range(rnd.randint(1, 30))]
         # Small squares force ties, so the tie-break order is exercised too.
         squares = [rnd.choice([1, 4, 9, 16, rnd.randint(1, 400)]) for _ in tmasks]
-        assert _reachable_dp(tmasks, squares, k) == _full_table_dp(tmasks, squares, k)
+        assert _reachable_dp(tmasks, squares, k)[:2] == _full_table_dp(tmasks, squares, k)
 
 
 @pytest.mark.parametrize("depth", [3, 4])
@@ -80,7 +86,7 @@ def test_dyadic_segment_components_match_full_table(recorded, depth):
     assert recorded
     assert max(k_c for _, _, k_c in recorded) >= 8
     for tmasks, squares, k_c in recorded:
-        assert _reachable_dp(tmasks, squares, k_c) == _full_table_dp(tmasks, squares, k_c)
+        assert _reachable_dp(tmasks, squares, k_c)[:2] == _full_table_dp(tmasks, squares, k_c)
 
 
 def test_full_16_atom_component(recorded):
@@ -91,7 +97,7 @@ def test_full_16_atom_component(recorded):
     res = norm_oracle(family, phi)
     assert [k_c for _, _, k_c in recorded] == [16]
     tmasks, squares, k_c = recorded[0]
-    assert _reachable_dp(tmasks, squares, k_c) == _full_table_dp(tmasks, squares, k_c)
+    assert _reachable_dp(tmasks, squares, k_c)[:2] == _full_table_dp(tmasks, squares, k_c)
     assert res.norm_sq == norm_tree_dp(tree, phi).norm_sq
 
 
@@ -101,18 +107,33 @@ def test_long_component_walks_without_recursion():
     k = 2000
     tmasks = [1 << i for i in range(k)] + [3 << i for i in range(k - 1)]
     squares = [1] * k + [3] * (k - 1)
-    best, picked = _reachable_dp(tmasks, squares, k)
+    best, picked, _ = _reachable_dp(tmasks, squares, k)
     assert best == 3 * (k // 2)
     assert picked == [k + i for i in range(0, k, 2)]
 
 
-def test_large_oracle_limit_runs(recorded):
+def test_large_support_runs(recorded):
+    # A chain peeled from its first atom visits one state per atom, so 1,100
+    # support atoms fit the default state budget.
     n = 1100
     names = [f"a{i:04d}" for i in range(n)]
     members = [[a] for a in names] + [[names[i], names[i + 1]] for i in range(n - 1)]
     ground = GroundSet(names)
     family = SetFamily(ground, members)
     phi = FinVector(ground, {a: 1 for a in names})
-    res = norm_oracle(family, phi, oracle_limit=n)
+    res = norm_oracle(family, phi)
     assert [k_c for _, _, k_c in recorded] == [n]
     assert res.norm_sq == 4 * (n // 2)
+
+
+def test_pinned_state_count():
+    # Atoms 0-3 form one component, masks 0011, 0101, 1100: from 1111 the DP
+    # reaches 1110 (skip atom 0), 1100 and 1010, then 1000 (atoms 1 and 3
+    # start no candidate): 5 nonzero states. Atoms 4-5, masks 11 and 01 in
+    # local bits, reach 11 and 10: 2 more. A pack call counts 7 states.
+    masks = [0b0011, 0b0101, 0b1100, 0b110000, 0b010000]
+    weights = [4, 4, 4, 4, 1]
+    assert packing.pack(masks, weights, state_budget=7) == (12, [0, 2, 3])
+    with pytest.raises(ResourceLimitError):
+        packing.pack(masks, weights, state_budget=6)
+    assert [_reachable_dp(masks[:3], weights[:3], 4)[2], _reachable_dp([3, 1], weights[3:], 2)[2]] == [5, 2]

@@ -12,7 +12,9 @@ from jsnorm.core import (
     GroundSet,
     SetFamily,
     WeightedSet,
+    canonical_member,
     dyadic_tree,
+    sort_members,
     tree_segments,
     unit_vector,
 )
@@ -25,7 +27,9 @@ from jsnorm.errors import (
 from jsnorm.norm import (
     DecreasingL2Seq,
     _has_cross_conflicts,
+    _scale_to_ints,
     DualCombination,
+    NormResult,
     dual_eval,
     functional_eval,
     greedy_bound,
@@ -102,9 +106,13 @@ def test_norm_oracle_witness_members_belong_to_family():
 
 
 def test_norm_oracle_limit():
+    # All ones on depth 1: the trace DP visits 4 states (all three atoms
+    # free, then {1:0, 1:1}, {1:1} and {1:0}).
     _, fam, g = depth1()
+    phi = FinVector(g, {a: 1 for a in g.elements})
+    assert norm_oracle(fam, phi, state_budget=4).norm_sq == 5
     with pytest.raises(ResourceLimitError):
-        norm_oracle(fam, FinVector(g, {a: 1 for a in g.elements}), oracle_limit=2)
+        norm_oracle(fam, phi, state_budget=3)
 
 
 def test_norm_oracle_ground_mismatch():
@@ -349,3 +357,86 @@ def test_cross_conflicts_match_all_pairs_scan():
         assert _has_cross_conflicts(fmasks, tmasks, k) == expected
         found += expected
     assert 100 < found < 1900
+
+
+def _reference_tree_dp(tree, phi):
+    """``norm_tree_dp`` as it was when it closed each child's frontier, and
+    each root's, a second time on top of the node's own closed best."""
+    supp = phi.support
+    scaled, denom = _scale_to_ints([phi.entries[a] for a in supp])
+    weight = dict(zip(supp, scaled))
+
+    order = []
+    stack = [(r, False) for r in reversed(tree.roots)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        stack.append((node, True))
+        for c in reversed(tree.children(node)):
+            stack.append((c, False))
+
+    done = {}
+    for v in order:
+        phi_v = weight.get(v, 0)
+        closed_best, closed_wit, child_frontiers = [], [], []
+        for c in tree.children(v):
+            b, bw, fr = done.pop(c)
+            cb, cw = b, bw
+            for sigma, (val, wit, chain) in fr.items():
+                cand = val + sigma * sigma
+                if cand > cb:
+                    cb = cand
+                    cw = wit + [canonical_member(chain)]
+            closed_best.append(cb)
+            closed_wit.append(cw)
+            child_frontiers.append(fr)
+        sum_closed = sum(closed_best)
+
+        all_closed = [m for w in closed_wit for m in w]
+        frontier = {phi_v: (sum_closed, all_closed, (v,))}
+        for j, fr in enumerate(child_frontiers):
+            others = [m for i, w in enumerate(closed_wit) if i != j for m in w]
+            rest = sum_closed - closed_best[j]
+            for sigma, (val, wit, chain) in fr.items():
+                ns = phi_v + sigma
+                nv = val + rest
+                if ns not in frontier or nv > frontier[ns][0]:
+                    frontier[ns] = (nv, wit + others, chain + (v,))
+
+        b_v, bw_v = sum_closed, all_closed
+        for sigma, (val, wit, chain) in frontier.items():
+            cand = val + sigma * sigma
+            if cand > b_v:
+                b_v = cand
+                bw_v = wit + [canonical_member(chain)]
+        done[v] = (b_v, bw_v, frontier)
+
+    total = 0
+    witness = []
+    for r in tree.roots:
+        b, bw, fr = done[r]
+        for sigma, (val, wit, chain) in fr.items():
+            cand = val + sigma * sigma
+            if cand > b:
+                b = cand
+                bw = wit + [canonical_member(chain)]
+        total += b
+        witness.extend(bw)
+    return NormResult(Fraction(total, denom * denom), sort_members(witness), "tree-dp")
+
+
+def test_tree_dp_matches_reference_norm_and_witness():
+    rnd = random.Random(23)
+    for _ in range(300):
+        n = rnd.randint(1, 14)
+        names = [f"v{i:02d}" for i in range(n)]
+        rnd.shuffle(names)
+        parent = {}
+        for i, name in enumerate(names):
+            parent[name] = None if i == 0 or rnd.random() < 0.1 else names[rnd.randrange(i)]
+        tree = FiniteTree(parent, forest=True)
+        # small integer entries make ties common, so tie-breaks are compared too
+        phi = FinVector(tree.ground_set(), {a: rnd.randint(-2, 2) for a in names if rnd.random() < 0.8})
+        assert norm_tree_dp(tree, phi) == _reference_tree_dp(tree, phi)
