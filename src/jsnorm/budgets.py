@@ -15,7 +15,7 @@ from .errors import InputFormatError
 
 @dataclass(frozen=True)
 class Budgets:
-    state_budget: int = 1 << 18  # DP states one packing.pack call visits
+    state_budget: int = 1 << 18  # new PackingTable entries one packing search adds
     sample_bound: int = 3  # envelope tuple length in condition (c)
     pair_budget: int = 200_000  # ordered member pairs in check_ci
     trace_budget: int = 200_000  # union traces packed by condition (c)

@@ -3,9 +3,10 @@
 Condition (b) asks whether the members inside s∖t cover it exactly;
 condition (c) asks, for the trace s∖⋃s_ti of every short envelope tuple, how
 much of it a pairwise-disjoint packing of members can cover. Both read the
-largest-coverage packing of a target from ``packing.pack_first`` over
-bitmasks in canonical atom order, memoised per target, so reports are
-deterministic. Any residual fails the check with a replayable witness.
+largest-coverage packing of a target from one ``packing.PackingTable`` per
+family over bitmasks in canonical atom order, so every target shares the
+states that earlier targets solved and reports are deterministic. Any
+residual fails the check with a replayable witness.
 
 ``check_ci`` runs (b) over every ordered pair on the member bitmasks, not on
 atom tuples, and keeps the set of differences already covered exactly: a
@@ -26,7 +27,7 @@ from .errors import (
     InvalidEnvelopeError,
     ResourceLimitError,
 )
-from .packing import pack_first
+from .packing import PackingTable, tie_weights
 
 
 @dataclass(frozen=True)
@@ -36,10 +37,7 @@ class Decomposition:
     parts: tuple[Member, ...]
 
     def union(self) -> frozenset:
-        out: set = set()
-        for p in self.parts:
-            out.update(p)
-        return frozenset(out)
+        return frozenset().union(*self.parts)
 
 
 @dataclass(frozen=True)
@@ -70,9 +68,9 @@ class _Masks:
         self.atoms = atoms
         self.member_masks = [self._mask(m) for m in family.members]
         self.by_member = dict(zip(family.members, self.member_masks))
-        by_size = sorted(self.by_member.items(), key=lambda c: (-len(c[0]), c[0]))
-        self._by_size = [(mask, member) for member, mask in by_size if mask]
-        self._packings: dict[int, tuple[tuple[Member, ...], int]] = {}
+        self._by_size = sorted(self.by_member, key=lambda m: (-len(m), m))
+        size_masks = [self.by_member[m] for m in self._by_size]
+        self.table = PackingTable(size_masks, tie_weights([m.bit_count() for m in size_masks]))
 
     def _mask(self, atoms: Iterable[str]) -> int:
         m = 0
@@ -85,28 +83,24 @@ class _Masks:
 
     def packing(self, target: int, state_budget: int) -> tuple[tuple[Member, ...], int]:
         """Largest pairwise-disjoint packing of ``target`` by the members
-        inside it, as (parts, covered mask), memoised by target.
+        inside it, as (parts, covered mask).
 
         Among packings that cover the most atoms, the first in candidate
-        order (larger members first, then canonical order) wins. A search
-        past ``state_budget`` DP states raises ``ResourceLimitError``.
+        order (larger members first, then canonical order) wins: the
+        family's table ranks every member by its popcount with
+        ``tie_weights`` in that order, and restricting to one target keeps
+        the order. A search that adds more than ``state_budget`` new table
+        entries raises ``ResourceLimitError``; a solved target costs nothing.
         """
-        hit = self._packings.get(target)
-        if hit is None:
-            cands = [(mask, member) for mask, member in self._by_size if mask & ~target == 0]
-            masks = [mask for mask, _ in cands]
-            _, picked = pack_first(masks, [m.bit_count() for m in masks], state_budget)
-            covered = 0
-            for i in picked:
-                covered |= masks[i]
-            hit = self._packings[target] = (tuple(cands[i][1] for i in picked), covered)
-        return hit
+        self.table.solve(target, state_budget)
+        picked = sorted(self.table.picks(target))
+        return tuple(self._by_size[i] for i in picked), sum(self.table.masks[i] for i in picked)
 
     def decompose(self, diff: int, state_budget: int) -> Optional[tuple[Member, ...]]:
         """Pairwise disjoint members covering ``diff`` exactly, or None.
 
         Raises ``ResourceLimitError`` when the packing search of ``diff``
-        passes ``state_budget`` DP states, whatever the size of ``diff``.
+        adds more than ``state_budget`` table entries, whatever its size.
         """
         if diff == 0:
             return ()
@@ -261,8 +255,8 @@ def check_ci(
     Condition (b) walks the ordered pairs s != t of member bitmasks, s outer
     and t inner in member order, and keeps the distinct differences s∖t that
     were covered exactly, so only a new difference reaches the packing
-    search. The first pair whose search passes ``state_budget`` DP states
-    raises ``ResourceLimitError``, and the first pair that fails is the
+    search. The first pair whose search adds more than ``state_budget`` table
+    entries raises ``ResourceLimitError``, and the first pair that fails is the
     witness, as if ``check_condition_b`` had been called on each pair in
     turn. Condition (c) packs its traces under the same ``state_budget``.
     """
@@ -319,13 +313,7 @@ def report_to_dict(report: CiReport) -> dict:
     def cr(result: ConditionResult) -> dict:
         out: dict = {"passed": result.passed}
         if result.witness is not None:
-            witness = {}
-            for key, value in result.witness.items():
-                if isinstance(value, tuple):
-                    witness[key] = list(value)
-                else:
-                    witness[key] = value
-            out["witness"] = witness
+            out["witness"] = {k: list(v) if isinstance(v, tuple) else v for k, v in result.witness.items()}
         return out
 
     return {

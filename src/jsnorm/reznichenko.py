@@ -568,10 +568,15 @@ def system_from_dict(payload: dict) -> ReznSystem:
             raise InputFormatError("each tree must be an object mapping node to parent")
         trees = {int(n): FiniteTree(parent_map) for n, parent_map in raw_trees.items()}
         stage_log = payload["stage_log"]
-        _check_atom_lists(
-            list(itertools.chain.from_iterable(sat["segments"] for rec in stage_log for sat in rec["satisfied"])),
-            "stage-log segments",
-        )
+        sats = [sat for rec in stage_log for sat in rec["satisfied"]]
+        _check_atom_lists([seg for sat in sats for seg in sat["segments"]], "stage-log segments")
+        tree_lists = [sat["trees"] for sat in sats]
+        ints = itertools.chain([rec["stage"] for rec in stage_log], [sat["label"] for sat in sats], *tree_lists)
+        flags = {(type(rec["exceeded_pool"]), type(rec["total_requests"])) for rec in stage_log}
+        if not (set(map(type, tree_lists)) <= {list} and set(map(type, ints)) <= {int}):
+            raise InputFormatError("stage-log stages, labels and tree indices must be integers")
+        if not flags <= {(bool, int), (bool, type(None))}:
+            raise InputFormatError("stage-log exceeded_pool must be a boolean, total_requests an integer or null")
         log = tuple(
             StageRecord(
                 stage=rec["stage"],

@@ -10,6 +10,7 @@ from jsnorm import ci, core
 from jsnorm.budgets import Budgets
 from jsnorm.core import GroundSet, SetFamily, dyadic_tree, tree_segments
 from jsnorm.errors import DecompositionError, ResourceLimitError
+from jsnorm.packing import PackingTable
 
 
 def _max_coverage_packing(cands, target):
@@ -77,6 +78,47 @@ def test_random_packings_match_coverage_search():
             expected = _dfs_packing(masks, target)
             assert masks.packing(target, Budgets.state_budget) == expected
             assert masks.packing(target, Budgets.state_budget) == expected  # memoised
+
+
+def test_shared_table_in_random_order_matches_fresh_tables():
+    # Targets of one family, repeats included, queried in random order on one
+    # table: each answer is the one a fresh table gives and the coverage
+    # search's, whatever the table already holds.
+    rnd = random.Random(8)
+    for _ in range(150):
+        family = _random_family(rnd)
+        shared = ci._Masks(family)
+        full = (1 << len(shared.atoms)) - 1
+        targets = [rnd.randint(1, full) for _ in range(10)]
+        targets += rnd.sample(targets, 3)
+        rnd.shuffle(targets)
+        for target in targets:
+            answer = shared.packing(target, Budgets.state_budget)
+            assert answer == ci._Masks(family).packing(target, Budgets.state_budget)
+            assert answer == _dfs_packing(shared, target)
+
+
+def test_table_after_a_raise_gives_the_fresh_answer():
+    # A search over the budget stores nothing: the same table, at the exact
+    # count of new entries its search needs, returns what a fresh table
+    # returns and ends up holding what a table that never raised holds.
+    rnd = random.Random(9)
+    raised = 0
+    for _ in range(150):
+        family = _random_family(rnd)
+        masks, twin = ci._Masks(family), ci._Masks(family)
+        full = (1 << len(masks.atoms)) - 1
+        for target in (rnd.randint(1, full) for _ in range(4)):
+            need = twin.table.solve(target)
+            if need:
+                held = dict(masks.table.best)
+                with pytest.raises(ResourceLimitError):
+                    masks.packing(target, need - 1)
+                assert masks.table.best == held
+                raised += 1
+            assert masks.packing(target, need) == ci._Masks(family).packing(target, Budgets.state_budget)
+            assert masks.table.best == twin.table.best
+    assert raised > 300
 
 
 def _reports(family, rnd, runs):
@@ -151,12 +193,21 @@ def test_condition_b_matches_pairwise_reference():
 
 
 def test_check_ci_state_budget_raises_at_first_pair_over_it(monkeypatch):
-    # The first differences of depth 3 need at most 3 DP states each; a
-    # budget of 3 lets them through and raises at the first one needing 4.
-    family = tree_segments(dyadic_tree(3))
+    # On depth 4 the first 14 distinct differences add 15 table entries, at
+    # most 3 each. The 15th, {1:0..4:0} from the pair (0:0..4:0, 0:0), adds 4,
+    # so a budget of 3 raises there and a budget of 4 lets the check through.
+    family = tree_segments(dyadic_tree(4))
+    targets = []
+
+    def packing(self, target, state_budget, _packing=ci._Masks.packing):
+        targets.append(target)
+        return _packing(self, target, state_budget)
+
+    monkeypatch.setattr(ci._Masks, "packing", packing)
     reference = ci._Masks(family)
     with pytest.raises(ResourceLimitError) as expected:
         _pairwise_condition_b(family, state_budget=3, masks=reference)
+    expected_targets, targets[:] = targets[:], []
     made = []
 
     class Recording(ci._Masks):
@@ -168,9 +219,16 @@ def test_check_ci_state_budget_raises_at_first_pair_over_it(monkeypatch):
     with pytest.raises(ResourceLimitError) as exc:
         ci.check_ci(family, state_budget=3)
     assert str(exc.value) == str(expected.value)
-    # the same differences were searched, in the same order, before the raise
-    assert list(made[0]._packings) == list(reference._packings)
-    assert len(reference._packings) > 1
+    # the same distinct differences were searched, in the same order, and the
+    # table holds the same entries: a raise stores nothing
+    assert targets == list(dict.fromkeys(expected_targets))
+    assert len(targets) == 15
+    assert made[0].unmask(targets[-1]) == ("1:0", "2:0", "3:0", "4:0")
+    path = made[0].by_member[("0:0", "1:0", "2:0", "3:0", "4:0")]
+    assert targets[-1] == path & ~made[0].by_member[("0:0",)]
+    assert made[0].table.best == reference.table.best
+    assert len(made[0].table.best) == 1 + 15
+    assert ci.check_ci(family, state_budget=4).passed
 
 
 def test_disjointify_state_budget_raises_the_condition_b_error():
@@ -186,11 +244,13 @@ def test_disjointify_state_budget_raises_the_condition_b_error():
 
 
 def test_condition_b_work_counts(monkeypatch):
-    # Counts calls, not time: condition (b) in check_ci canonicalises no
-    # member per pair, and the packing search runs once per distinct target.
+    # Counts calls and table entries, not time: condition (b) in check_ci
+    # canonicalises no member per pair, each packing call runs one table
+    # search, no state is counted twice, and a repeated target adds nothing.
     family = tree_segments(dyadic_tree(4))
-    calls = {"require": 0, "canonical_member": 0, "pack_first": 0}
+    calls = {"require": 0, "canonical_member": 0}
     targets = []
+    searches = []  # (table, target, new entries counted)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -203,16 +263,29 @@ def test_condition_b_work_counts(monkeypatch):
         targets.append(target)
         return _packing(self, target, state_budget)
 
+    def solve(self, free, *budget, _solve=PackingTable.solve):
+        searches.append((self, free, _solve(self, free, *budget)))
+        return searches[-1][2]
+
     monkeypatch.setattr(SetFamily, "require", counted("require", SetFamily.require))
     monkeypatch.setattr(core, "canonical_member", counted("canonical_member", core.canonical_member))
     monkeypatch.setattr(ci, "canonical_member", counted("canonical_member", ci.canonical_member))
-    monkeypatch.setattr(ci, "pack_first", counted("pack_first", ci.pack_first))
     monkeypatch.setattr(ci._Masks, "packing", packing)
+    monkeypatch.setattr(PackingTable, "solve", solve)
     assert ci.check_ci(family).passed
 
     assert calls["require"] == 0
     assert calls["canonical_member"] <= len(family.ground)  # condition (a): one per atom
-    assert calls["pack_first"] == len(set(targets))
+    assert [free for _, free, _ in searches] == targets
+    table = searches[0][0]
+    assert all(t is table for t, _, _ in searches)  # one table per check
+    assert sum(n for _, _, n in searches) == len(table.best) - 1
+    seen = set()
+    for _, free, n in searches:
+        if free in seen:
+            assert n == 0
+        seen.add(free)
+    assert len(targets) > len(seen)  # condition (c) repeats targets
     masks = ci._Masks(family)
     diffs = list(dict.fromkeys(s & ~t for s in masks.member_masks for t in masks.member_masks))
     diffs.remove(0)

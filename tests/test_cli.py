@@ -374,13 +374,20 @@ def test_env_trace_budget_reaches_condition_c(capsys, inputs, monkeypatch):
     assert "trace budget 1" in payload["error"]["message"]
 
 
-def test_env_state_budget_reaches_condition_b(capsys, inputs, monkeypatch):
-    # ({0:0, 1:0}, {1:1}) is the first pair whose difference needs 2 DP states
+def test_env_state_budget_reaches_condition_b(capsys, tmp_path, monkeypatch):
+    # On depth 2, ({0:0, 1:0, 2:0}, {0:0}) is the first pair whose difference
+    # adds 2 table entries; no other search of check-ci adds more.
+    path = tmp_path / "family.json"
+    path.write_text(canonical_json(family_to_dict(tree_segments(dyadic_tree(2)))))
     monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"state_budget": 1}')
-    code, payload = run(capsys, ["check-ci", "--family", inputs["family.json"]])
+    code, payload = run(capsys, ["check-ci", "--family", str(path)])
     assert code == 3
     assert payload["error"]["code"] == "resource-limit"
     assert "state_budget = 1" in payload["error"]["message"]
+    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"state_budget": 2}')
+    code, payload = run(capsys, ["check-ci", "--family", str(path)])
+    assert code == 0
+    assert payload["passed"]
 
 
 @pytest.mark.parametrize("key", ["oracle_limit", "cover_limit"])
@@ -724,6 +731,24 @@ def test_strata_schema_holes_exit_2(capsys, tmp_path, rows):
     assert payload["error"]["code"] == "input-format"
 
 
+# Stage-log fields that used to be coerced or left for verify_system to trip
+# on: each is set on the last stage record or, failing that, on its last
+# satisfied request.
+_STAGE_LOG_FAULTS = {
+    "float-tree-indices": ("trees", [1.0, 2.0]),
+    "string-tree-indices": ("trees", "12"),
+    "string-stage": ("stage", "1"),
+    "float-stage": ("stage", 1.0),
+    "null-stage": ("stage", None),
+    "string-exceeded-pool": ("exceeded_pool", "no"),
+    "int-exceeded-pool": ("exceeded_pool", 0),
+    "float-total-requests": ("total_requests", 2.5),
+    "bool-total-requests": ("total_requests", True),
+    "bool-label": ("label", True),
+    "string-label": ("label", "x"),
+}
+
+
 @pytest.mark.parametrize(
     "fault",
     [
@@ -737,6 +762,7 @@ def test_strata_schema_holes_exit_2(capsys, tmp_path, rows):
         "stray-node",
         "string-segment",
         "int-atom-segment",
+        *_STAGE_LOG_FAULTS,
     ],
 )
 def test_search_partition_bad_system_exits_2(capsys, tmp_path, fault):
@@ -764,6 +790,10 @@ def test_search_partition_bad_system_exits_2(capsys, tmp_path, fault):
         system["stage_log"][-1]["satisfied"][-1]["segments"][0] = "ab"  # was read as {a, b}
     elif fault == "int-atom-segment":
         system["stage_log"][-1]["satisfied"][-1]["segments"][0] = ["0:1", 5]
+    elif fault in _STAGE_LOG_FAULTS:
+        key, value = _STAGE_LOG_FAULTS[fault]
+        record = system["stage_log"][-1]
+        (record if key in record else record["satisfied"][-1])[key] = value
     else:
         system["trees"]["1"] = list(system["trees"]["1"].items())
     out.write_text(canonical_json(system))
