@@ -18,6 +18,7 @@ point for callers that hold atom tuples; both share ``_Masks.decompose``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
 from .budgets import Budgets
@@ -27,7 +28,7 @@ from .errors import (
     InvalidEnvelopeError,
     ResourceLimitError,
 )
-from .packing import PackingTable, tie_weights
+from .packing import PackingTable, TieWeights
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,10 @@ class Decomposition:
     parts: tuple[Member, ...]
 
     def union(self) -> frozenset:
-        return frozenset().union(*self.parts)
+        out: set = set()
+        for p in self.parts:
+            out.update(p)
+        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -69,8 +73,12 @@ class _Masks:
         self.member_masks = [self._mask(m) for m in family.members]
         self.by_member = dict(zip(family.members, self.member_masks))
         self._by_size = sorted(self.by_member, key=lambda m: (-len(m), m))
+
+    @cached_property
+    def table(self) -> PackingTable:
+        """The family's packing table over ``_by_size``, built on first use."""
         size_masks = [self.by_member[m] for m in self._by_size]
-        self.table = PackingTable(size_masks, tie_weights([m.bit_count() for m in size_masks]))
+        return PackingTable(size_masks, TieWeights([m.bit_count() for m in size_masks]))
 
     def _mask(self, atoms: Iterable[str]) -> int:
         m = 0
@@ -88,12 +96,13 @@ class _Masks:
         Among packings that cover the most atoms, the first in candidate
         order (larger members first, then canonical order) wins: the
         family's table ranks every member by its popcount with
-        ``tie_weights`` in that order, and restricting to one target keeps
-        the order. A search that adds more than ``state_budget`` new table
-        entries raises ``ResourceLimitError``; a solved target costs nothing.
+        ``TieWeights`` in that order, and restricting to one target keeps
+        the order. The table solves each overlap component of the members
+        inside ``target``; a search that adds more than ``state_budget`` new
+        table entries raises ``ResourceLimitError``, and a repeated target
+        costs nothing.
         """
-        self.table.solve(target, state_budget)
-        picked = sorted(self.table.picks(target))
+        picked = self.table.pack(target, state_budget)
         return tuple(self._by_size[i] for i in picked), sum(self.table.masks[i] for i in picked)
 
     def decompose(self, diff: int, state_budget: int) -> Optional[tuple[Member, ...]]:
@@ -260,8 +269,6 @@ def check_ci(
     witness, as if ``check_condition_b`` had been called on each pair in
     turn. Condition (c) packs its traces under the same ``state_budget``.
     """
-    masks = _Masks(family)
-
     missing = next((a for a in sorted(family.ground.elements) if (a,) not in family), None)
     cond_a = ConditionResult(passed=missing is None, witness=None if missing is None else {"atom": missing})
 
@@ -271,6 +278,7 @@ def check_ci(
             f"{n * (n - 1)} ordered pairs exceed budget {pair_budget}",
             partial_report={"condition_a": cond_a},
         )
+    masks = _Masks(family)
     cond_b = ConditionResult(passed=True)
     covered: set[int] = set()
     pairs = list(zip(family.members, masks.member_masks))
@@ -313,7 +321,13 @@ def report_to_dict(report: CiReport) -> dict:
     def cr(result: ConditionResult) -> dict:
         out: dict = {"passed": result.passed}
         if result.witness is not None:
-            out["witness"] = {k: list(v) if isinstance(v, tuple) else v for k, v in result.witness.items()}
+            witness = {}
+            for key, value in result.witness.items():
+                if isinstance(value, tuple):
+                    witness[key] = list(value)
+                else:
+                    witness[key] = value
+            out["witness"] = witness
         return out
 
     return {

@@ -3,11 +3,12 @@
 This is the one packing search in jsnorm. The norms maximise squared sums
 over disjoint members; condition (b) asks whether the members inside s∖t
 cover it exactly, and condition (c) how much of a residual they can cover,
-both as a packing weighted by popcount. A ``PackingTable`` solves free-atom
-masks by a subset DP and keeps every solved state, so the work depends on
-the masks, not on how the weights rank them, and a state already in the
-table costs nothing. That work is bounded here and nowhere else: one search
-may add at most ``state_budget`` new table entries.
+both as a packing weighted by popcount. A ``PackingTable`` splits the
+candidates inside a mask into overlap components, solves the atoms of each
+by a subset DP and keeps every solved state, so the work depends on the
+masks, not on how the weights rank them, and a state already in the table
+costs nothing. That work is bounded here and nowhere else: one search may
+add at most ``state_budget`` new table entries.
 """
 
 from __future__ import annotations
@@ -48,16 +49,25 @@ def _components(masks: Sequence[int]) -> list[int]:
     return list(atoms.values())
 
 
-def tie_weights(weights: Sequence[int]) -> list[int]:
+class TieWeights(dict):
     """Weights that never tie, with the first optimal index set winning.
 
-    Each weight is shifted left by n bits and index i adds the bit
-    2^(n-1-i), so of two index sets with the same weight sum, the one
-    holding the smallest index where they differ wins: the set an
-    include-first search in index order finds first.
+    Weight i is shifted left by n bits and adds the bit 2^(n-1-i), so of two
+    index sets with the same weight sum, the one holding the smallest index
+    where they differ wins: the set an include-first search in index order
+    finds first. Each tied weight is n bits wide and is made on first use,
+    so a table over n candidates holds one only for each candidate its
+    searches reach.
     """
-    n = len(weights)
-    return [(w << n) | (1 << (n - 1 - i)) for i, w in enumerate(weights)]
+
+    def __init__(self, weights: Sequence[int]):
+        super().__init__()
+        self.weights = weights
+
+    def __missing__(self, i: int) -> int:
+        n = len(self.weights)
+        tied = self[i] = (self.weights[i] << n) | (1 << (n - 1 - i))
+        return tied
 
 
 class PackingTable:
@@ -66,7 +76,8 @@ class PackingTable:
     States are nonzero masks of still-free atoms; each state either skips
     its lowest atom or covers it with a candidate inside it. ``best`` and
     ``choice`` hold every state solved so far, so searches of overlapping
-    masks share their work. Masks must be nonzero.
+    masks share their work, and ``components`` the overlap components of
+    every mask packed. Masks must be nonzero.
     """
 
     def __init__(self, masks: Sequence[int], weights: Sequence[int]):
@@ -77,23 +88,22 @@ class PackingTable:
             self.by_low.setdefault(m & -m, []).append(j)
         self.best: dict[int, int] = {0: 0}
         self.choice: dict[int, int] = {}
+        self.components: dict[int, list[int]] = {}
 
-    def solve(self, free: int, budget: int = Budgets.state_budget, spent: int = 0) -> int:
-        """Solve ``free`` and every state it reaches that is not yet held.
+    def solve(self, frees: Sequence[int], budget: int = Budgets.state_budget) -> int:
+        """Solve the masks ``frees`` and every state they reach that is not yet held.
 
         An explicit stack collects the new states with the candidates that
         fit each one, then they are solved in increasing mask order, so
         every successor (a proper submask) is solved first. Candidates are
         scanned in index order with strict improvement, so ties resolve the
-        same way every run. ``spent`` entries were counted before this
-        search; once ``spent`` plus the new ones passes ``budget``,
-        ``ResourceLimitError`` is raised and nothing is stored. Returns
-        ``spent`` plus the number of new entries.
+        same way every run. Once the new states pass ``budget``,
+        ``ResourceLimitError`` is raised and nothing is stored. Returns the
+        number of new entries.
         """
         masks, best = self.masks, self.best
         fits: dict[int, list[int]] = {}
-        cap = budget - spent
-        stack = [free]
+        stack = list(frees)
         while stack:
             free = stack.pop()
             if free in best or free in fits:
@@ -101,7 +111,7 @@ class PackingTable:
             low = free & -free
             here = [j for j in self.by_low.get(low, ()) if masks[j] & free == masks[j]]
             fits[free] = here
-            if len(fits) > cap:
+            if len(fits) > budget:
                 raise ResourceLimitError(f"packing needs more than state_budget = {budget} DP states")
             stack.append(free ^ low)
             stack.extend(free ^ masks[j] for j in here)
@@ -116,7 +126,7 @@ class PackingTable:
                     b, c = v, j
             best[free] = b
             choice[free] = c
-        return spent + len(fits)
+        return len(fits)
 
     def picks(self, free: int) -> list[int]:
         """The candidates of the solved state ``free``'s optimum, by lowest atom."""
@@ -130,24 +140,38 @@ class PackingTable:
                 free ^= self.masks[c]
         return picked
 
+    def pack(self, free: int, budget: int = Budgets.state_budget) -> list[int]:
+        """The candidates of the optimum inside ``free``, ascending.
+
+        The first time, the candidates inside ``free`` are split into
+        overlap components and one search solves each component's atom
+        mask, so components that interleave in atom order do not multiply
+        each other's states. The components are kept, so packing ``free``
+        again only walks their choices.
+        """
+        comps = self.components.get(free)
+        if comps is None:
+            comps = _components([m for m in self.masks if m & free == m])
+            self.solve(comps, budget)
+            self.components[free] = comps
+        return sorted(j for atoms in comps for j in self.picks(atoms))
+
 
 def pack(
     masks: Sequence[int], weights: Sequence[int], state_budget: int = Budgets.state_budget
 ) -> tuple[int, list[int]]:
     """Max Σ weights[i] over index sets whose masks are pairwise disjoint.
 
-    Masks must be nonzero. One table solves each overlap component's atom
-    mask, and ties resolve in its scan order. Returns the total and the
+    Masks must be nonzero. One table search solves each overlap component's
+    atom mask, and ties resolve in its scan order. Returns the total and the
     picked indices in ascending order. Raises ``ResourceLimitError`` once the
     states of all components together pass ``state_budget``.
     """
-    table = PackingTable(masks, weights)
-    spent = 0
-    comps = _components(masks)
-    for atoms in comps:
-        spent = table.solve(atoms, state_budget, spent)
-    picked = sorted(j for atoms in comps for j in table.picks(atoms))
-    return sum(table.best[atoms] for atoms in comps), picked
+    free = 0
+    for m in masks:
+        free |= m
+    picked = PackingTable(masks, weights).pack(free, state_budget)
+    return sum(weights[j] for j in picked), picked
 
 
 def pack_first(
@@ -155,7 +179,7 @@ def pack_first(
 ) -> tuple[int, list[int]]:
     """``pack`` where ties go to the first optimal index set in index order.
 
-    Weights must be positive; ``tie_weights`` breaks the ties.
+    Weights must be positive; ``TieWeights`` breaks the ties.
     """
-    total, picked = pack(masks, tie_weights(weights), state_budget)
+    total, picked = pack(masks, TieWeights(weights), state_budget)
     return total >> len(masks), picked

@@ -2,6 +2,8 @@
 include-first coverage search they replaced; check_ci's condition (b) loop
 against the pair-by-pair public check, with its state budget and work counts."""
 
+import functools
+import operator
 import random
 
 import pytest
@@ -77,7 +79,7 @@ def test_random_packings_match_coverage_search():
             target = rnd.randint(1, full)
             expected = _dfs_packing(masks, target)
             assert masks.packing(target, Budgets.state_budget) == expected
-            assert masks.packing(target, Budgets.state_budget) == expected  # memoised
+            assert masks.packing(target, Budgets.state_budget) == expected  # read from the shared table
 
 
 def test_shared_table_in_random_order_matches_fresh_tables():
@@ -109,7 +111,9 @@ def test_table_after_a_raise_gives_the_fresh_answer():
         masks, twin = ci._Masks(family), ci._Masks(family)
         full = (1 << len(masks.atoms)) - 1
         for target in (rnd.randint(1, full) for _ in range(4)):
-            need = twin.table.solve(target)
+            before = len(twin.table.best)
+            twin.packing(target, Budgets.state_budget)
+            need = len(twin.table.best) - before
             if need:
                 held = dict(masks.table.best)
                 with pytest.raises(ResourceLimitError):
@@ -193,7 +197,7 @@ def test_condition_b_matches_pairwise_reference():
 
 
 def test_check_ci_state_budget_raises_at_first_pair_over_it(monkeypatch):
-    # On depth 4 the first 14 distinct differences add 15 table entries, at
+    # On depth 4 the first 14 distinct differences add 10 table entries, at
     # most 3 each. The 15th, {1:0..4:0} from the pair (0:0..4:0, 0:0), adds 4,
     # so a budget of 3 raises there and a budget of 4 lets the check through.
     family = tree_segments(dyadic_tree(4))
@@ -227,7 +231,7 @@ def test_check_ci_state_budget_raises_at_first_pair_over_it(monkeypatch):
     path = made[0].by_member[("0:0", "1:0", "2:0", "3:0", "4:0")]
     assert targets[-1] == path & ~made[0].by_member[("0:0",)]
     assert made[0].table.best == reference.table.best
-    assert len(made[0].table.best) == 1 + 15
+    assert len(made[0].table.best) == 1 + 10
     assert ci.check_ci(family, state_budget=4).passed
 
 
@@ -245,12 +249,13 @@ def test_disjointify_state_budget_raises_the_condition_b_error():
 
 def test_condition_b_work_counts(monkeypatch):
     # Counts calls and table entries, not time: condition (b) in check_ci
-    # canonicalises no member per pair, each packing call runs one table
-    # search, no state is counted twice, and a repeated target adds nothing.
+    # canonicalises no member per pair, each distinct target runs one table
+    # search, over the overlap components of the members inside it, a
+    # repeated target runs none, and no state is counted twice.
     family = tree_segments(dyadic_tree(4))
     calls = {"require": 0, "canonical_member": 0}
     targets = []
-    searches = []  # (table, target, new entries counted)
+    searches = []  # (table, target, components searched, new entries counted)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -263,9 +268,9 @@ def test_condition_b_work_counts(monkeypatch):
         targets.append(target)
         return _packing(self, target, state_budget)
 
-    def solve(self, free, *budget, _solve=PackingTable.solve):
-        searches.append((self, free, _solve(self, free, *budget)))
-        return searches[-1][2]
+    def solve(self, frees, *budget, _solve=PackingTable.solve):
+        searches.append((self, targets[-1], list(frees), _solve(self, frees, *budget)))
+        return searches[-1][3]
 
     monkeypatch.setattr(SetFamily, "require", counted("require", SetFamily.require))
     monkeypatch.setattr(core, "canonical_member", counted("canonical_member", core.canonical_member))
@@ -276,16 +281,18 @@ def test_condition_b_work_counts(monkeypatch):
 
     assert calls["require"] == 0
     assert calls["canonical_member"] <= len(family.ground)  # condition (a): one per atom
-    assert [free for _, free, _ in searches] == targets
     table = searches[0][0]
-    assert all(t is table for t, _, _ in searches)  # one table per check
-    assert sum(n for _, _, n in searches) == len(table.best) - 1
-    seen = set()
-    for _, free, n in searches:
-        if free in seen:
-            assert n == 0
-        seen.add(free)
-    assert len(targets) > len(seen)  # condition (c) repeats targets
+    assert all(t is table for t, _, _, _ in searches)  # one table per check
+    assert sum(n for _, _, _, n in searches) == len(table.best) - 1
+    assert [target for _, target, _, _ in searches] == list(dict.fromkeys(targets))
+    assert len(targets) == 1498 and len(searches) == 341  # condition (c) repeats targets
+    assert len(table.best) == 1 + 129  # the 341 distinct targets add 129 entries
+    for _, target, comps, _ in searches:
+        inside = [m for m in table.masks if m & target == m]
+        assert sum(comps) == functools.reduce(operator.or_, comps) == functools.reduce(operator.or_, inside)
+        for m in inside:  # each member inside the target lies in one component
+            assert [m & c == m for c in comps].count(True) == 1
+    assert any(len(comps) > 1 for _, _, comps, _ in searches)
     masks = ci._Masks(family)
     diffs = list(dict.fromkeys(s & ~t for s in masks.member_masks for t in masks.member_masks))
     diffs.remove(0)
@@ -300,3 +307,36 @@ def test_condition_c_state_budget_on_one_large_member():
     assert ci.check_condition_c(family, sample_bound=1, state_budget=29).passed
     with pytest.raises(ResourceLimitError):
         ci.check_condition_c(family, sample_bound=1, state_budget=28)
+
+
+def test_interleaved_components_are_searched_apart():
+    # k pairs {i, i+k}, all 2k singletons and the whole ground. The pairs
+    # interleave in atom order, so one search over a whole difference would
+    # need 2^(k+1) - 2 states. Ground∖{a00} holds 17 pairs with their
+    # singletons (2 states each) and the lone singleton a18 (1 state).
+    k = 18
+    atoms = [f"a{i:02d}" for i in range(2 * k)]
+    pairs = [(atoms[i], atoms[i + k]) for i in range(k)]
+    family = SetFamily(GroundSet(atoms), [[a] for a in atoms] + [list(p) for p in pairs] + [atoms])
+    parts = ci.check_condition_b(family, atoms, atoms[:1], state_budget=35)
+    assert sorted(parts.parts) == sorted(pairs[1:] + [(atoms[k],)])
+    with pytest.raises(ResourceLimitError):
+        ci.check_condition_b(family, atoms, atoms[:1], state_budget=34)
+    assert ci.check_ci(family, sample_bound=1).passed
+
+
+def test_tie_weights_are_made_for_reached_members_only(monkeypatch):
+    # A family of n members needs n-bit tie weights. The table is built on
+    # the first search and makes a weight only for a member some search
+    # reaches; check_ci's pair guard runs before any of it.
+    n = 1000
+    atoms = [f"a{i:04d}" for i in range(n)]
+    family = SetFamily(GroundSet(atoms), [[a] for a in atoms] + [atoms[i : i + 2] for i in range(n - 1)])
+    masks = ci._Masks(family)
+    assert "table" not in vars(masks)
+    parts, covered = masks.packing(0b111, Budgets.state_budget)  # a0000..a0002
+    assert parts == (("a0000", "a0001"), ("a0002",)) and covered == 0b111
+    assert len(masks.table.weights) == 5  # three singletons, two pairs
+    monkeypatch.setattr(ci, "_Masks", None)
+    with pytest.raises(ResourceLimitError, match="ordered pairs"):
+        ci.check_ci(family)

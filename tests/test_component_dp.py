@@ -15,10 +15,10 @@ from jsnorm.norm import norm_oracle, norm_tree_dp
 _solve = packing.PackingTable.solve
 
 
-def _reachable_dp(masks, weights, free, budget=Budgets.state_budget, spent=0):
+def _reachable_dp(masks, weights, free, budget=Budgets.state_budget):
     """A fresh table's (best, picks, count) for ``free``."""
     table = packing.PackingTable(masks, weights)
-    count = _solve(table, free, budget, spent)
+    count = _solve(table, [free], budget)
     return table.best[free], table.picks(free), count
 
 
@@ -61,9 +61,9 @@ def recorded(monkeypatch):
     """Every (masks, weights, free) that norm_oracle hands to a table's solve."""
     calls = []
 
-    def spy(self, free, *budget):
-        calls.append((list(self.masks), list(self.weights), free))
-        return _solve(self, free, *budget)
+    def spy(self, frees, *budget):
+        calls.extend((list(self.masks), self.weights, free) for free in frees)
+        return _solve(self, frees, *budget)
 
     monkeypatch.setattr(packing.PackingTable, "solve", spy)
     return calls
