@@ -8,18 +8,19 @@ family over bitmasks in canonical atom order, so every target shares the
 states that earlier targets solved and reports are deterministic. Any
 residual fails the check with a replayable witness.
 
-``check_ci`` runs (b) over every ordered pair on the member bitmasks, not on
-atom tuples, and keeps the set of differences already covered exactly: a
-repeated difference costs one set lookup, and each distinct difference is
-searched once, in pair order. ``check_condition_b`` is the one-pair entry
-point for callers that hold atom tuples; both share ``_Masks.decompose``.
+``_Masks`` computes each member's distinct traces s∩t once and keeps a memo
+of the exact covers found, so a target covered before never reaches the
+table again. ``check_ci`` reads condition (b)'s differences s∖t, condition
+(c)'s unions and ``max_trace_size`` off those traces. ``check_condition_b``
+is the one-pair entry point for callers that hold atom tuples; every exact
+cover goes through ``_Masks.decompose``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .budgets import Budgets
 from .core import Member, SetFamily, canonical_member
@@ -73,6 +74,23 @@ class _Masks:
         self.member_masks = [self._mask(m) for m in family.members]
         self.by_member = dict(zip(family.members, self.member_masks))
         self._by_size = sorted(self.by_member, key=lambda m: (-len(m), m))
+        self.exact: dict[int, tuple[Member, ...]] = {0: ()}  # exact covers found so far
+
+    @cached_property
+    def traces(self) -> list[dict[int, Member]]:
+        """Each member's distinct traces s∩t, built on first use."""
+        return self.trace_table(self.member_masks)
+
+    def trace_table(self, env_masks: Sequence[int]) -> list[dict[int, Member]]:
+        """For each member s, in member order, the distinct s ∩ env_masks[j],
+        each mapped to the first member j that gives it, in member order."""
+        pairs = list(zip(self.by_member, env_masks))
+        out: list[dict[int, Member]] = []
+        for s in self.member_masks:
+            out.append({})
+            for t, m in pairs:
+                out[-1].setdefault(s & m, t)
+        return out
 
     @cached_property
     def table(self) -> PackingTable:
@@ -108,13 +126,18 @@ class _Masks:
     def decompose(self, diff: int, state_budget: int) -> Optional[tuple[Member, ...]]:
         """Pairwise disjoint members covering ``diff`` exactly, or None.
 
-        Raises ``ResourceLimitError`` when the packing search of ``diff``
-        adds more than ``state_budget`` table entries, whatever its size.
+        A cover found is kept in ``exact``, so a target covered before is
+        not searched again. Raises ``ResourceLimitError`` when the packing
+        search of ``diff`` adds more than ``state_budget`` table entries,
+        whatever its size.
         """
-        if diff == 0:
-            return ()
-        parts, covered = self.packing(diff, state_budget)
-        return parts if covered == diff else None
+        parts = self.exact.get(diff)
+        if parts is None:
+            parts, covered = self.packing(diff, state_budget)
+            if covered != diff:
+                return None
+            self.exact[diff] = parts
+        return parts
 
 
 def check_condition_b(
@@ -136,11 +159,7 @@ def identity_envelope(family: SetFamily) -> dict[Member, Member]:
     return {m: m for m in family.members}
 
 
-def _checked_envelope(
-    family: SetFamily, envelope: Optional[Mapping[Member, Member]]
-) -> dict[Member, Member]:
-    if envelope is None:
-        return identity_envelope(family)
+def _checked_envelope(family: SetFamily, envelope: Mapping[Member, Member]) -> dict[Member, Member]:
     out: dict[Member, Member] = {}
     for t in family.members:
         if t not in envelope:
@@ -164,44 +183,35 @@ def check_condition_c(
 ) -> ConditionResult:
     """For every member s and every envelope tuple of length <= sample_bound,
     the trace s∖⋃s_ti must be covered exactly by disjoint members. Tuples
-    are enumerated through their distinct union traces."""
-    env = _checked_envelope(family, envelope)
+    are enumerated through their distinct unions, level by level: each level
+    extends the last by one trace and keeps the unions not seen before, each
+    with the first tuple found. The first union that fails is the witness."""
     masks = _masks or _Masks(family)
-    env_masks = [(t, masks.by_member[env[t]]) for t in family.members]
+    if envelope is None:
+        traces = masks.traces
+    else:
+        env = _checked_envelope(family, envelope)
+        traces = masks.trace_table([masks.by_member[env[t]] for t in family.members])
     checks = 0
-    for s in family.members:
-        s_mask = masks.by_member[s]
-        # distinct values of s ∩ s_t with a representative t each
-        traces: dict[int, Member] = {}
-        for t, sm in env_masks:
-            r = s_mask & sm
-            if r not in traces:
-                traces[r] = t
-        # unions of up to sample_bound distinct traces, first-found representatives
+    for s, s_mask, s_traces in zip(family.members, masks.member_masks, traces):
         unions: dict[int, tuple[Member, ...]] = {}
-        frontier = {r: (t,) for r, t in traces.items()}
+        level: dict[int, tuple[Member, ...]] = {0: ()}  # the empty tuple
         for _ in range(sample_bound):
-            unions_next: dict[int, tuple[Member, ...]] = {}
-            for u, rep in frontier.items():
-                if u not in unions:
-                    unions[u] = rep
-                for r, t in traces.items():
+            grown: dict[int, tuple[Member, ...]] = {}
+            for u, rep in level.items():
+                for r, t in s_traces.items():
                     nu = u | r
-                    if nu not in unions and nu not in unions_next:
-                        unions_next[nu] = rep + (t,)
-            frontier = unions_next
-            if not frontier:
-                break
+                    if nu not in unions and nu not in grown:
+                        grown[nu] = rep + (t,)
+            unions.update(grown)
+            level = grown
         for u, rep in unions.items():
             checks += 1
             if checks > trace_budget:
                 raise ResourceLimitError(f"condition (c) trace budget {trace_budget} exceeded")
             target = s_mask & ~u
-            if target == 0:
-                continue
-            parts, covered = masks.packing(target, state_budget)
-            residual = (target & ~covered).bit_count()
-            if residual:
+            if masks.decompose(target, state_budget) is None:
+                parts, covered = masks.packing(target, state_budget)
                 return ConditionResult(
                     passed=False,
                     witness={
@@ -209,7 +219,7 @@ def check_condition_c(
                         "tuple": list(rep),
                         "uncovered": masks.unmask(target & ~covered),
                         "packing": [list(p) for p in parts],
-                        "residual": residual,
+                        "residual": (target & ~covered).bit_count(),
                     },
                 )
     return ConditionResult(passed=True)
@@ -261,13 +271,15 @@ def check_ci(
 ) -> CiReport:
     """Run all four axioms; failing conditions carry replayable witnesses.
 
-    Condition (b) walks the ordered pairs s != t of member bitmasks, s outer
-    and t inner in member order, and keeps the distinct differences s∖t that
-    were covered exactly, so only a new difference reaches the packing
-    search. The first pair whose search adds more than ``state_budget`` table
-    entries raises ``ResourceLimitError``, and the first pair that fails is the
-    witness, as if ``check_condition_b`` had been called on each pair in
-    turn. Condition (c) packs its traces under the same ``state_budget``.
+    Condition (b) walks each member s's distinct traces r = s∩t in member
+    order, so s∖r runs over the distinct differences of the ordered pairs,
+    s outer and t inner, each with the first t that gives it. A difference
+    covered exactly before is a memo hit, so only a new difference reaches
+    the packing search. The first pair whose search adds more than
+    ``state_budget`` table entries raises ``ResourceLimitError``, and the
+    first pair that fails is the witness, as if ``check_condition_b`` had
+    been called on each pair s != t in turn. Condition (c) packs its traces
+    under the same ``state_budget``.
     """
     missing = next((a for a in sorted(family.ground.elements) if (a,) not in family), None)
     cond_a = ConditionResult(passed=missing is None, witness=None if missing is None else {"atom": missing})
@@ -280,18 +292,10 @@ def check_ci(
         )
     masks = _Masks(family)
     cond_b = ConditionResult(passed=True)
-    covered: set[int] = set()
-    pairs = list(zip(family.members, masks.member_masks))
-    for s, s_mask in pairs:
-        for t, t_mask in pairs:
-            diff = s_mask & ~t_mask
-            if diff in covered or t is s:
-                continue
-            if masks.decompose(diff, state_budget) is None:
-                cond_b = ConditionResult(passed=False, witness={"s": s, "t": t})
-                break
-            covered.add(diff)
-        if not cond_b.passed:
+    for s, s_mask, traces in zip(family.members, masks.member_masks, masks.traces):
+        t = next((t for r, t in traces.items() if masks.decompose(s_mask & ~r, state_budget) is None), None)
+        if t is not None:
+            cond_b = ConditionResult(passed=False, witness={"s": s, "t": t})
             break
 
     cond_c = check_condition_c(
@@ -303,16 +307,11 @@ def check_ci(
         _masks=masks,
     )
 
-    max_trace = 0
-    for s_mask in masks.member_masks:
-        seen = {s_mask & m for m in masks.member_masks}
-        max_trace = max(max_trace, len(seen))
-
     return CiReport(
         condition_a=cond_a,
         condition_b=cond_b,
         condition_c=cond_c,
-        max_trace_size=max_trace,
+        max_trace_size=max(map(len, masks.traces), default=0),
         envelope_identity=envelope is None,
     )
 
@@ -321,13 +320,7 @@ def report_to_dict(report: CiReport) -> dict:
     def cr(result: ConditionResult) -> dict:
         out: dict = {"passed": result.passed}
         if result.witness is not None:
-            witness = {}
-            for key, value in result.witness.items():
-                if isinstance(value, tuple):
-                    witness[key] = list(value)
-                else:
-                    witness[key] = value
-            out["witness"] = witness
+            out["witness"] = {k: list(v) if isinstance(v, tuple) else v for k, v in result.witness.items()}
         return out
 
     return {

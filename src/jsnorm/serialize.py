@@ -88,7 +88,9 @@ def tree_to_dict(tree: FiniteTree) -> dict:
 
 def tree_from_dict(payload: Mapping) -> FiniteTree:
     try:
-        parent = dict(payload["parent"])
+        parent = payload["parent"]
+        if not isinstance(parent, Mapping):
+            raise InputFormatError("'parent' must be an object")
         forest = payload.get("forest", False)
         if not isinstance(forest, bool):
             raise InputFormatError(f"'forest' must be true or false, got {forest!r}")

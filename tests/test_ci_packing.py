@@ -1,6 +1,7 @@
 """Condition (b)/(c) packings from the shared kernel, against the
 include-first coverage search they replaced; check_ci's condition (b) loop
-against the pair-by-pair public check, with its state budget and work counts."""
+against the pair-by-pair public check, with its state budget and work counts;
+condition (c)'s level-by-level unions against the frontier loop they replaced."""
 
 import functools
 import operator
@@ -251,7 +252,8 @@ def test_condition_b_work_counts(monkeypatch):
     # Counts calls and table entries, not time: condition (b) in check_ci
     # canonicalises no member per pair, each distinct target runs one table
     # search, over the overlap components of the members inside it, a
-    # repeated target runs none, and no state is counted twice.
+    # repeated target is a memo hit that never reaches the table, and no
+    # state is counted twice.
     family = tree_segments(dyadic_tree(4))
     calls = {"require": 0, "canonical_member": 0}
     targets = []
@@ -285,7 +287,7 @@ def test_condition_b_work_counts(monkeypatch):
     assert all(t is table for t, _, _, _ in searches)  # one table per check
     assert sum(n for _, _, _, n in searches) == len(table.best) - 1
     assert [target for _, target, _, _ in searches] == list(dict.fromkeys(targets))
-    assert len(targets) == 1498 and len(searches) == 341  # condition (c) repeats targets
+    assert len(targets) == len(searches) == 341  # condition (c)'s repeats are memo hits
     assert len(table.best) == 1 + 129  # the 341 distinct targets add 129 entries
     for _, target, comps, _ in searches:
         inside = [m for m in table.masks if m & target == m]
@@ -340,3 +342,103 @@ def test_tie_weights_are_made_for_reached_members_only(monkeypatch):
     monkeypatch.setattr(ci, "_Masks", None)
     with pytest.raises(ResourceLimitError, match="ordered pairs"):
         ci.check_ci(family)
+
+
+def _frontier_condition_c(family, envelope=None, sample_bound=Budgets.sample_bound):
+    """Condition (c) by the frontier loop that enumerated its unions before
+    they were built level by level: it re-expands frontier entries already in
+    ``unions`` and builds one level past ``sample_bound``, but keeps the same
+    unions in the same order with the same first-found tuples."""
+    env = envelope or ci.identity_envelope(family)
+    masks = ci._Masks(family)
+    env_masks = [(t, masks.by_member[core.canonical_member(env[t])]) for t in family.members]
+    for s in family.members:
+        s_mask = masks.by_member[s]
+        traces = {}
+        for t, sm in env_masks:
+            r = s_mask & sm
+            if r not in traces:
+                traces[r] = t
+        unions = {}
+        frontier = {r: (t,) for r, t in traces.items()}
+        for _ in range(sample_bound):
+            unions_next = {}
+            for u, rep in frontier.items():
+                if u not in unions:
+                    unions[u] = rep
+                for r, t in traces.items():
+                    nu = u | r
+                    if nu not in unions and nu not in unions_next:
+                        unions_next[nu] = rep + (t,)
+            frontier = unions_next
+            if not frontier:
+                break
+        for u, rep in unions.items():
+            target = s_mask & ~u
+            if target == 0:
+                continue
+            parts, covered = masks.packing(target, Budgets.state_budget)
+            residual = (target & ~covered).bit_count()
+            if residual:
+                witness = {
+                    "s": s,
+                    "tuple": list(rep),
+                    "uncovered": masks.unmask(target & ~covered),
+                    "packing": [list(p) for p in parts],
+                    "residual": residual,
+                }
+                return ci.ConditionResult(passed=False, witness=witness)
+    return ci.ConditionResult(passed=True)
+
+
+def _gap_family(rnd):
+    """Every singleton but {a0}, the whole ground, a few pairs {a0, ai} and
+    members off a0: a residual holding a0 fails once the traces of a tuple
+    cut every pair's partner, which often takes two or three of them."""
+    atoms = [f"a{i}" for i in range(rnd.randint(5, 9))]
+    members = [[a] for a in atoms[1:]] + [atoms]
+    members += [[atoms[0], a] for a in rnd.sample(atoms[1:], rnd.randint(2, 4))]
+    members += [rnd.sample(atoms[1:], rnd.randint(2, 3)) for _ in range(rnd.randint(2, 8))]
+    return SetFamily(GroundSet(atoms), members)
+
+
+def test_condition_c_matches_frontier_reference():
+    # Random families, gap families and depth-4 segment families with one
+    # singleton and up to two more members dropped; identity and random
+    # envelopes, tuples of length 1-4. The witness names the first failing
+    # union and its tuple, so any change to the order the unions are built
+    # in shows here.
+    rnd = random.Random(12)
+    full = tree_segments(dyadic_tree(4))
+    singletons = [m for m in full.members if len(m) == 1]
+    families = [_random_family(rnd) for _ in range(80)] + [_gap_family(rnd) for _ in range(60)]
+    for _ in range(6):
+        drop = {rnd.choice(singletons), *rnd.sample(full.members, rnd.randint(0, 2))}
+        families.append(SetFamily(full.ground, [m for m in full.members if m not in drop]))
+    results = []
+    for family in families:
+        env = {t: rnd.choice([s for s in family.members if set(t) <= set(s)]) for t in family.members}
+        for envelope in (None, env):
+            sample_bound = rnd.randint(1, 4)
+            result = ci.check_condition_c(family, envelope, sample_bound=sample_bound)
+            assert result == _frontier_condition_c(family, envelope, sample_bound)
+            results.append(result)
+    failed = [r.witness for r in results if not r.passed]
+    assert len(failed) > 100 and sum(len(w["tuple"]) > 1 for w in failed) > 10
+    assert any(len(w["tuple"]) > 2 for w in failed)
+    assert all(not ci.check_condition_c(f).passed for f in families[-6:])
+
+
+def test_max_trace_size_counts_trace_sets():
+    # max_trace_size is the largest |L_s| of core.trace_set, whatever the
+    # envelope, and 0 on a family with no members.
+    rnd = random.Random(13)
+    families = [tree_segments(dyadic_tree(depth)) for depth in (1, 2, 3)]
+    families.extend(_random_family(rnd) for _ in range(40))
+    for family in families:
+        expected = max(len(core.trace_set(family, s)) for s in family.members)
+        env = {t: rnd.choice([s for s in family.members if set(t) <= set(s)]) for t in family.members}
+        for envelope in (None, env):
+            assert ci.check_ci(family, envelope, sample_bound=1).max_trace_size == expected
+    empty = ci.check_ci(SetFamily(GroundSet(["a"]), []))
+    assert empty.max_trace_size == 0 and not empty.condition_a.passed and empty.condition_c.passed

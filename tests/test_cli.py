@@ -63,6 +63,16 @@ def test_check_ci_passes(capsys, inputs):
     assert payload["passed"] is True
 
 
+def test_check_ci_on_an_empty_family(capsys, tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(canonical_json({"ground": ["a"], "members": []}))
+    code, payload = run(capsys, ["check-ci", "--family", str(path)])
+    assert code == 1
+    assert payload["condition_a"] == {"passed": False, "witness": {"atom": "a"}}
+    assert payload["condition_b"]["passed"] and payload["condition_c"]["passed"]
+    assert payload["max_trace_size"] == 0
+
+
 def test_norm_reports_golden(capsys, inputs):
     code, payload = run(
         capsys,
@@ -83,6 +93,20 @@ def test_norm_tree_variant(capsys, inputs):
     assert code == 0
     assert payload["norm_sq"] == "5/1"
     assert payload["method"] == "tree-dp"
+
+
+def test_norm_tree_parent_must_be_an_object(capsys, tmp_path):
+    vector = tmp_path / "vector.json"
+    vector.write_text(canonical_json({"entries": {"a": "1/1", "b": "2/1"}}))
+    tree = tmp_path / "tree.json"
+    argv = ["norm", "--tree", str(tree), "--vector", str(vector)]
+    tree.write_text(canonical_json({"parent": {"a": None, "b": "a"}}))
+    code, payload = run(capsys, argv)
+    assert (code, payload["norm_sq"]) == (0, "9/1")
+    tree.write_text(canonical_json({"parent": [["a", None], ["b", "a"]]}))
+    code, payload = run(capsys, argv)
+    assert code == 2
+    assert payload["error"]["code"] == "input-format"
 
 
 def test_norm_requires_exactly_one_source(capsys, inputs):

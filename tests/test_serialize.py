@@ -136,3 +136,10 @@ def test_tree_from_dict_rejects_non_boolean_forest(forest):
 def test_tree_from_dict_forest_defaults_to_false():
     assert tree_from_dict({"parent": {"a": None}}).forest is False
     assert tree_from_dict({"parent": {"a": None, "b": None}, "forest": True}).forest is True
+
+
+@pytest.mark.parametrize("parent", [[["a", None], ["b", "a"]], ["ab"], "ab", None])
+def test_tree_from_dict_rejects_non_object_parent(parent):
+    # dict() would read a list of pairs, or of two-letter strings, as a tree
+    with pytest.raises(InputFormatError, match="'parent' must be an object"):
+        tree_from_dict({"parent": parent})
