@@ -170,6 +170,9 @@ def _checked_envelope(family: SetFamily, envelope: Mapping[Member, Member]) -> d
         if not set(t) <= set(s_t):
             raise InvalidEnvelopeError(f"envelope target {s_t!r} does not contain {t!r}")
         out[t] = s_t
+    stray = next((t for t in envelope if t not in out), None)
+    if stray is not None:
+        raise InvalidEnvelopeError(f"envelope key {stray!r} is not a family member")
     return out
 
 

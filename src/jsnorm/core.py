@@ -158,15 +158,12 @@ class SetFamily:
         ground: GroundSet,
         members: Iterable[Iterable[Atom]],
         provenance: str = "explicit",
-        with_singletons: bool = False,
     ):
         if provenance not in self.PROVENANCE_TAGS:
             raise ValueError(f"unknown provenance tag {provenance!r}")
         given = tuple(map(tuple, members))
-        if with_singletons or not _is_canonical(ground, given):
+        if not _is_canonical(ground, given):
             canon = {canonical_member(m) for m in given}
-            if with_singletons:
-                canon.update((a,) for a in ground.elements)
             if () in canon:
                 raise ValueError("the empty set cannot be a family member")
             outside = [m for m in canon if not ground.covers(m)]
@@ -311,13 +308,6 @@ class FiniteTree:
             best = max(best, depths[node])
         return best
 
-    def segment(self, low: Atom, high: Atom) -> Member:
-        """The chain [low, high]; low must be an ancestor of high."""
-        chain = self.ancestors(high)
-        if low not in chain:
-            raise ValueError(f"{low!r} is not an ancestor of {high!r}")
-        return canonical_member(chain[: chain.index(low) + 1])
-
     def ground_set(self) -> GroundSet:
         return GroundSet(sorted(self.nodes))
 
@@ -344,17 +334,6 @@ def tree_segments(tree: FiniteTree) -> SetFamily:
         for i in range(len(chain)):
             members.add(canonical_member(chain[: i + 1]))
     return SetFamily(tree.ground_set(), members, provenance="tree-segments")
-
-
-def branches_and_tails(tree: FiniteTree) -> SetFamily:
-    """All root-to-leaf chains, their suffixes, and all singletons."""
-    members = set()
-    for node in tree.nodes:
-        if not tree.children(node):
-            branch = tree.ancestors(node)  # leaf up to root
-            for i in range(len(branch)):
-                members.add(canonical_member(branch[: i + 1]))
-    return SetFamily(tree.ground_set(), members, provenance="tree-segments", with_singletons=True)
 
 
 def trace_set(family: SetFamily, member: Iterable[Atom]) -> list[Member]:

@@ -311,23 +311,6 @@ def dual_eval(combo: DualCombination, phi: FinVector) -> Fraction:
 
 
 @dataclass(frozen=True)
-class DecreasingL2Seq:
-    """Nonincreasing nonnegative rationals with Σλᵢ² ≤ 1."""
-
-    values: tuple[Fraction, ...]
-
-    def __init__(self, values: Iterable[Fraction | int | str]):
-        vals = tuple(Fraction(v) for v in values)
-        if any(v < 0 for v in vals):
-            raise InvalidComboError("sequence entries must be nonnegative")
-        if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-            raise InvalidComboError("sequence must be nonincreasing")
-        if sum((v * v for v in vals), Fraction(0)) > 1:
-            raise InvalidComboError("sequence has sum of squares > 1")
-        object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True)
 class GreedyCertificate:
     epsilon: Fraction
     chosen_sets: tuple[Member, ...]

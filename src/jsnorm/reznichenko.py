@@ -1,19 +1,19 @@
 """Finite staged construction of an entangled system of trees.
 
 Atoms are stage:label pairs. Tree n starts as the single root 0:n; at each
-later stage we enumerate extension requests (a set of tree indices plus
-pairwise disjoint root-anchored chains, one per tree) and satisfy up to
-label_pool of them, adjoining one fresh node per satisfied request as a new
-child in every requested tree. When the request count exceeds the pool, a
-seeded generator draws which ones survive; the stage log records exactly
-what happened so the lossiness stays visible.
+later stage we enumerate extension requests (a set of tree indices plus one
+tip node per tree, whose root-anchored chains are pairwise disjoint) and
+satisfy up to label_pool of them, adjoining one fresh node per satisfied
+request as a child of its tip in every requested tree. When the request
+count exceeds the pool, a seeded generator draws which ones survive; the
+stage log records exactly what happened so the lossiness stays visible.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .budgets import Budgets
 from .core import FiniteTree, GroundSet, Member, SetFamily, canonical_member
@@ -86,9 +86,15 @@ class ReznParams:
             raise InputFormatError("rng_seed must be an unsigned 64-bit integer")
 
 
+def _disjoint(chains) -> bool:
+    """True when the given atom collections are pairwise disjoint."""
+    return len(set().union(*chains)) == sum(map(len, chains))
+
+
 @dataclass(frozen=True)
 class ExtensionRequest:
-    """Tree indices with one root-anchored chain each, pairwise disjoint."""
+    """Tree indices with one root-anchored chain each, pairwise disjoint; for
+    a request ``(trees, tips)`` the chain of ``trees[i]`` ends at ``tips[i]``."""
 
     trees: tuple[int, ...]
     segments: tuple[Member, ...]
@@ -96,7 +102,7 @@ class ExtensionRequest:
     def __post_init__(self):
         if len(self.trees) != len(self.segments):
             raise InputFormatError("one segment per requested tree")
-        if len(set(itertools.chain.from_iterable(self.segments))) != sum(map(len, self.segments)):
+        if not _disjoint(self.segments):
             raise InputFormatError("request segments must be pairwise disjoint")
 
 
@@ -146,101 +152,80 @@ class _TreeState:
         self.chain_sets[node] = self.chain_sets[parent] | {node}
 
 
+Request = tuple[tuple[int, ...], tuple[str, ...]]  # (trees, tips)
+
+
 def _enumerate_requests(
-    states: dict[int, _TreeState],
-    snapshot: dict[int, int],
-    n_trees: int,
-    limit: int,
-    enum_budget: int,
-) -> tuple[list[ExtensionRequest], bool, Optional[int]]:
-    """Valid requests in canonical order, stopping after ``limit`` of them.
+    states: dict[int, _TreeState], snapshot: dict[int, int], n_trees: int, limit: int, enum_budget: int
+) -> tuple[list[Request], bool, Optional[int]]:
+    """Valid requests ``(trees, tips)`` in canonical order, stopping after
+    ``limit`` of them; ``tips[i]`` is the node tree ``trees[i]`` grows from.
 
     Returns (first requests up to limit, exceeded flag, exact total or None).
     The combo scan itself is budgeted; running past the budget counts as
     exceeding the pool since the exact total is then unknown.
     """
-    found: list[ExtensionRequest] = []
+    found: list[Request] = []
     scanned = 0
     for k in range(2, n_trees + 1):
         for trees in itertools.combinations(range(1, n_trees + 1), k):
-            ranges = [range(snapshot[n]) for n in trees]
-            for pick in itertools.product(*ranges):
+            for tips in itertools.product(*(states[n].nodes[: snapshot[n]] for n in trees)):
                 scanned += 1
                 if scanned > enum_budget:
                     return found, True, None
-                chains = [states[n].chain_sets[states[n].nodes[i]] for n, i in zip(trees, pick)]
-                total = sum(len(c) for c in chains)
-                union = frozenset().union(*chains)
-                if len(union) != total:
-                    continue
-                found.append(
-                    ExtensionRequest(
-                        trees=trees,
-                        segments=tuple(canonical_member(c) for c in chains),
-                    )
-                )
-                if len(found) > limit:
-                    return found, True, None
+                if _disjoint([states[n].chain_sets[w] for n, w in zip(trees, tips)]):
+                    found.append((trees, tips))
+                    if len(found) > limit:
+                        return found, True, None
     return found, False, len(found)
 
 
+def _sample_requests(
+    states: dict[int, _TreeState], snapshot: dict[int, int], rng: Lcg64, params: ReznParams
+) -> Iterator[tuple[int, Request]]:
+    """Seeded draws for a stage whose requests overflow the pool: for each
+    label, up to SAMPLE_RETRIES draws of a tree set and one tip per tree;
+    the first disjoint request not drawn before is yielded with the label."""
+    seen: set[Request] = set()
+    for label in range(params.label_pool):
+        for _ in range(SAMPLE_RETRIES):
+            size = 2 + rng.bounded(params.n_trees - 1)
+            deck = list(range(1, params.n_trees + 1))
+            for i in range(size):
+                j = i + rng.bounded(params.n_trees - i)
+                deck[i], deck[j] = deck[j], deck[i]
+            trees = tuple(sorted(deck[:size]))
+            tips = tuple(states[n].nodes[rng.bounded(snapshot[n])] for n in trees)
+            if (trees, tips) in seen or not _disjoint([states[n].chain_sets[w] for n, w in zip(trees, tips)]):
+                continue
+            seen.add((trees, tips))
+            yield label, (trees, tips)
+            break
+
+
 def build(params: ReznParams, enum_budget: int = Budgets.enum_budget) -> ReznSystem:
-    """Run the staged construction under the given parameters."""
+    """Run the staged construction under the given parameters. A stage's
+    requests ``(trees, tips)`` are enumerated, or sampled when they overflow
+    the pool; each labelled node becomes a child of ``tips[i]`` in ``trees[i]``."""
     states = {n: _TreeState(node_name(0, n)) for n in range(1, params.n_trees + 1)}
     rng = Lcg64(params.rng_seed)
     log: list[StageRecord] = []
 
     for stage in range(1, params.stages):
+        # tips are drawn below the snapshot, so the nodes this stage adds are never tips
         snapshot = {n: len(states[n].nodes) for n in states}
-        requests, exceeded, total = _enumerate_requests(
+        found, exceeded, total = _enumerate_requests(
             states, snapshot, params.n_trees, params.label_pool, enum_budget
         )
+        requests = _sample_requests(states, snapshot, rng, params) if exceeded else enumerate(found)
         satisfied: list[SatisfiedRequest] = []
-        if not exceeded:
-            for label, req in enumerate(requests):
-                satisfied.append(SatisfiedRequest(label=label, request=req))
-        else:
-            seen_keys: set = set()
-            for label in range(params.label_pool):
-                for _ in range(SAMPLE_RETRIES):
-                    size = 2 + rng.bounded(params.n_trees - 1)
-                    deck = list(range(1, params.n_trees + 1))
-                    for i in range(size):
-                        j = i + rng.bounded(params.n_trees - i)
-                        deck[i], deck[j] = deck[j], deck[i]
-                    trees = tuple(sorted(deck[:size]))
-                    chains = []
-                    for n in trees:
-                        w = states[n].nodes[rng.bounded(snapshot[n])]
-                        chains.append(states[n].chain_sets[w])
-                    total_len = sum(len(c) for c in chains)
-                    union = frozenset().union(*chains)
-                    if len(union) != total_len:
-                        continue
-                    key = (trees, tuple(canonical_member(c) for c in chains))
-                    if key in seen_keys:
-                        continue
-                    seen_keys.add(key)
-                    satisfied.append(
-                        SatisfiedRequest(
-                            label=label,
-                            request=ExtensionRequest(trees=key[0], segments=key[1]),
-                        )
-                    )
-                    break
-        for sat in satisfied:
-            node = node_name(stage, sat.label)
-            for n, seg in zip(sat.request.trees, sat.request.segments):
-                tip = max(seg, key=node_key)
-                states[n].add(node, tip)
-        log.append(
-            StageRecord(
-                stage=stage,
-                satisfied=tuple(satisfied),
-                exceeded_pool=exceeded,
-                total_requests=total,
-            )
-        )
+        for label, (trees, tips) in requests:
+            node = node_name(stage, label)
+            segments = tuple(canonical_member(states[n].chain_sets[w]) for n, w in zip(trees, tips))
+            satisfied.append(SatisfiedRequest(label, ExtensionRequest(trees, segments)))
+            for n, w in zip(trees, tips):
+                states[n].add(node, w)
+        log.append(StageRecord(stage, tuple(satisfied), exceeded_pool=exceeded, total_requests=total))
 
     gamma = GroundSet(
         node_name(s, t) for s in range(params.stages) for t in range(params.label_pool)
@@ -415,6 +400,17 @@ class PartitionWitness:
     per_block_counts: dict[int, int] = field(hash=False, default_factory=dict)
 
 
+def _witness(n: int, chain: list[str], d_of: dict[str, int], hit: int, counts: dict[int, int]) -> PartitionWitness:
+    """The witness for a chain of tree n that meets block ``hit`` often enough."""
+    return PartitionWitness(
+        member=canonical_member(chain),
+        tree=n,
+        block=hit,
+        intersection=canonical_member(a for a in chain if d_of[a] == hit),
+        per_block_counts=dict(sorted(counts.items())),
+    )
+
+
 def _scan_witness(
     sys: ReznSystem,
     d_of: dict[str, int],
@@ -440,14 +436,7 @@ def _scan_witness(
                 if hit is None and counts[d] >= threshold:
                     hit = d
                 if hit is not None:
-                    member = canonical_member(segment)
-                    return PartitionWitness(
-                        member=member,
-                        tree=n,
-                        block=hit,
-                        intersection=canonical_member(a for a in segment if d_of[a] == hit),
-                        per_block_counts=dict(sorted(counts.items())),
-                    )
+                    return _witness(n, segment, d_of, hit, counts)
     return None
 
 
@@ -470,13 +459,7 @@ def _greedy_witness(
             best = max(counts.values())
             if best >= threshold:
                 hit = min(d for d, c in counts.items() if c >= threshold)
-                return PartitionWitness(
-                    member=canonical_member(chain),
-                    tree=n,
-                    block=hit,
-                    intersection=canonical_member(a for a in chain if d_of[a] == hit),
-                    per_block_counts=dict(sorted(counts.items())),
-                )
+                return _witness(n, chain, d_of, hit, counts)
             step = None
             step_gain = -1
             for c in tree.children(node):

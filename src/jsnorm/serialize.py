@@ -105,13 +105,6 @@ def weighted_to_dict(wset: WeightedSet) -> dict:
     return {"weights": {a: format_fraction(v) for a, v in wset.weights.items()}}
 
 
-def weighted_family_to_dict(sets: list[WeightedSet], ground: GroundSet) -> dict:
-    return {
-        "ground": list(ground.elements),
-        "weighted": [weighted_to_dict(w)["weights"] for w in sets],
-    }
-
-
 def weighted_family_from_dict(payload: Mapping) -> tuple[list[WeightedSet], GroundSet]:
     try:
         _check_atom_lists([payload["ground"]], "'ground'")
@@ -173,11 +166,24 @@ def _side_list(payload: Any, key: str, shape: str, pairs: bool = False) -> list:
     return rows
 
 
+def _by_member(rows: list, what: str) -> dict[Member, Any]:
+    """[member, value] rows keyed by canonical member; a member listed twice,
+    in any spelling, is an error rather than a silent overwrite."""
+    out: dict[Member, Any] = {}
+    for m, value in rows:
+        key = canonical_member(m)
+        if key in out:
+            raise InputFormatError(f"bad {what}: member {list(key)!r} is listed twice")
+        out[key] = value
+    return out
+
+
 def envelope_from_dict(payload: Any) -> dict[Member, Member]:
-    """Envelope file: [t, s_t] member pairs, bare or under "envelope"."""
+    """Envelope file: [t, s_t] member pairs, bare or under "envelope", one
+    for each member t."""
     pairs = _side_list(payload, "envelope", "[t, s_t] pairs", pairs=True)
     _check_atom_lists(list(itertools.chain.from_iterable(pairs)), "envelope pair")
-    return {canonical_member(t): canonical_member(s) for t, s in pairs}
+    return {t: canonical_member(s) for t, s in _by_member(pairs, "envelope").items()}
 
 
 def members_from_dict(payload: Any) -> list[list[str]]:
@@ -188,13 +194,13 @@ def members_from_dict(payload: Any) -> list[list[str]]:
 
 
 def strata_from_dict(payload: Any) -> dict[Member, int]:
-    """Strata file: [member, n] rows, bare or under "strata"; each n is a
-    JSON integer, not a boolean or a float."""
+    """Strata file: [member, n] rows, bare or under "strata", one for each
+    member; each n is a JSON integer, not a boolean or a float."""
     rows = _side_list(payload, "strata", "[member, n] pairs", pairs=True)
     _check_atom_lists([m for m, _ in rows], "strata member")
     if not {type(n) for _, n in rows} <= {int}:
         raise InputFormatError("bad strata: a stratum must be a JSON integer")
-    return {canonical_member(m): n for m, n in rows}
+    return _by_member(rows, "strata")
 
 
 def load_json(path: str) -> Any:

@@ -207,6 +207,8 @@ def qe_partition_search(
 ) -> Optional[QePartitionWitness]:
     """First member meeting some gamma_n block in >= threshold atoms while
     meeting every gamma_d block at most once; None after exhausting all."""
+    if threshold < 1:
+        raise InvalidPartitionError("threshold must be at least 1")
     d_blocks = validate_partition(family.ground, gamma_d, name="gamma_d")
     n_blocks = validate_partition(family.ground, gamma_n, name="gamma_n")
     d_of: dict[str, int] = {}
@@ -253,6 +255,10 @@ def eberleinize(family: SetFamily, strata: Mapping[Member, int]) -> list[Weighte
         if not isinstance(n, int) or n < 1:
             raise MissingStratumError(f"stratum of {m!r} must be a positive integer, got {n!r}")
         out.append(WeightedSet(family.ground, {a: Fraction(1, n) for a in m}))
+    if len(strata) > len(out):
+        members = set(family.members)
+        stray = next(m for m in strata if m not in members)
+        raise MissingStratumError(f"stratum given for {stray!r}, which is not a family member")
     return out
 
 

@@ -100,6 +100,8 @@ def test_identity_envelope_and_validation():
         check_condition_c(fam, envelope={("a",): ("a",)})  # missing members
     with pytest.raises(InvalidEnvelopeError):
         check_condition_c(fam, envelope={m: () for m in fam.members})
+    with pytest.raises(InvalidEnvelopeError, match="not a family member"):
+        check_condition_c(fam, envelope={**env, ("zz",): ("qq",)})
 
 
 def test_pair_budget_raises_with_partial_report():

@@ -321,6 +321,15 @@ def test_qe_search_command(capsys, inputs):
     assert payload["witness"]["s"] == ["0", "1"]
 
 
+@pytest.mark.parametrize("threshold", ["0", "-3"])
+def test_qe_search_threshold_below_one_exits_1(capsys, inputs, threshold):
+    argv = ["qe-search", "--family", inputs["adm.json"], "--gamma-d", inputs["gd.json"], "--gamma-n", inputs["gn.json"]]
+    code, payload = run(capsys, argv + ["--threshold", threshold])
+    assert code == 1
+    assert payload["error"]["code"] == "invalid-partition"
+    assert "threshold must be at least 1" in payload["error"]["message"]
+
+
 def test_eberleinize_command(capsys, inputs):
     code, payload = run(capsys, ["eberleinize", "--family", inputs["adm.json"]])
     assert code == 0
@@ -753,6 +762,30 @@ def test_strata_schema_holes_exit_2(capsys, tmp_path, rows):
     code, payload = run(capsys, ["eberleinize", "--family", _ab_family(tmp_path), "--strata", str(path)])
     assert code == 2
     assert payload["error"]["code"] == "input-format"
+
+
+AB_ENVELOPE = [[["a"], ["a", "b"]], [["b"], ["a", "b"]], [["a", "b"], ["a", "b"]]]
+AB_STRATA = [[["a"], 1], [["a", "b"], 2], [["b"], 1]]
+
+
+@pytest.mark.parametrize(
+    "option, rows, code, error",
+    [
+        ("--envelope", AB_ENVELOPE + [[["zz"], ["qq"]]], 1, "invalid-envelope"),
+        ("--envelope", AB_ENVELOPE + [[["a"], ["a"]]], 2, "input-format"),
+        ("--envelope", AB_ENVELOPE + [[["b", "a"], ["a", "b"]]], 2, "input-format"),
+        ("--strata", AB_STRATA + [[["zz"], 3]], 1, "missing-stratum"),
+        ("--strata", AB_STRATA + [[["a"], 2]], 2, "input-format"),
+    ],
+    ids=["envelope-non-member", "envelope-repeated", "envelope-repeated-respelled", "strata-non-member", "strata-repeated"],
+)
+def test_side_file_names_each_member_once(capsys, tmp_path, option, rows, code, error):
+    path = tmp_path / "side.json"
+    path.write_text(canonical_json(rows))
+    command = "check-ci" if option == "--envelope" else "eberleinize"
+    got, payload = run(capsys, [command, "--family", _ab_family(tmp_path), option, str(path)])
+    assert got == code
+    assert payload["error"]["code"] == error
 
 
 # Stage-log fields that used to be coerced or left for verify_system to trip

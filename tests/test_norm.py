@@ -25,7 +25,6 @@ from jsnorm.errors import (
     ResourceLimitError,
 )
 from jsnorm.norm import (
-    DecreasingL2Seq,
     _has_cross_conflicts,
     _scale_to_ints,
     DualCombination,
@@ -211,16 +210,6 @@ def test_dual_eval_and_cauchy_schwarz():
     assert val == Fraction(3, 5) * 2 + Fraction(4, 5)
     sumsq = sum((lam * lam for lam, _ in combo.terms), Fraction(0))
     assert val * val <= sumsq * norm_oracle(fam, phi).norm_sq
-
-
-def test_decreasing_l2_seq_validation():
-    DecreasingL2Seq([Fraction(3, 5), Fraction(3, 5), Fraction(1, 5)])
-    with pytest.raises(InvalidComboError):
-        DecreasingL2Seq([Fraction(1, 2), Fraction(3, 4)])
-    with pytest.raises(InvalidComboError):
-        DecreasingL2Seq([Fraction(-1, 2)])
-    with pytest.raises(InvalidComboError):
-        DecreasingL2Seq([1, 1])
 
 
 def test_greedy_bound_goldens():

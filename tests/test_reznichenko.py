@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jsnorm.core import FiniteTree, SetFamily
+from jsnorm import reznichenko
+from jsnorm.budgets import Budgets
+from jsnorm.core import FiniteTree, GroundSet, SetFamily, canonical_member
 from jsnorm.errors import (
     IndexOutOfRangeError,
     InputFormatError,
@@ -14,9 +16,14 @@ from jsnorm.errors import (
     MissingStratumError,
 )
 from jsnorm.reznichenko import (
+    SAMPLE_RETRIES,
+    ExtensionRequest,
     Lcg64,
     ReznParams,
     ReznSystem,
+    SatisfiedRequest,
+    StageRecord,
+    _TreeState,
     _is_segment_of,
     build,
     levels_partition,
@@ -112,6 +119,72 @@ def _reference_verify(sys: ReznSystem) -> dict:
 
     checks["passed"] = all(c["passed"] for c in checks.values())
     return checks
+
+
+def _reference_enumerate(states, snapshot, n_trees, limit, enum_budget):
+    """Requests as segment tuples, each combo tested for disjointness on its
+    own: the enumeration ``build`` was checked against."""
+    found = []
+    scanned = 0
+    for k in range(2, n_trees + 1):
+        for trees in itertools.combinations(range(1, n_trees + 1), k):
+            ranges = [range(snapshot[n]) for n in trees]
+            for pick in itertools.product(*ranges):
+                scanned += 1
+                if scanned > enum_budget:
+                    return found, True, None
+                chains = [states[n].chain_sets[states[n].nodes[i]] for n, i in zip(trees, pick)]
+                if len(frozenset().union(*chains)) != sum(len(c) for c in chains):
+                    continue
+                found.append(ExtensionRequest(trees=trees, segments=tuple(canonical_member(c) for c in chains)))
+                if len(found) > limit:
+                    return found, True, None
+    return found, False, len(found)
+
+
+def _reference_build(params: ReznParams, enum_budget: int = Budgets.enum_budget) -> ReznSystem:
+    """Reference for ``build``: requests carry segments only, the sampler
+    deduplicates on segments, and each node's parent is found again as the
+    segment's greatest node by (stage, label)."""
+    states = {n: _TreeState(node_name(0, n)) for n in range(1, params.n_trees + 1)}
+    rng = Lcg64(params.rng_seed)
+    log = []
+    for stage in range(1, params.stages):
+        snapshot = {n: len(states[n].nodes) for n in states}
+        requests, exceeded, total = _reference_enumerate(
+            states, snapshot, params.n_trees, params.label_pool, enum_budget
+        )
+        satisfied = []
+        if not exceeded:
+            satisfied = [SatisfiedRequest(label=label, request=req) for label, req in enumerate(requests)]
+        else:
+            seen_keys = set()
+            for label in range(params.label_pool):
+                for _ in range(SAMPLE_RETRIES):
+                    size = 2 + rng.bounded(params.n_trees - 1)
+                    deck = list(range(1, params.n_trees + 1))
+                    for i in range(size):
+                        j = i + rng.bounded(params.n_trees - i)
+                        deck[i], deck[j] = deck[j], deck[i]
+                    trees = tuple(sorted(deck[:size]))
+                    chains = [states[n].chain_sets[states[n].nodes[rng.bounded(snapshot[n])]] for n in trees]
+                    if len(frozenset().union(*chains)) != sum(len(c) for c in chains):
+                        continue
+                    key = (trees, tuple(canonical_member(c) for c in chains))
+                    if key in seen_keys:
+                        continue
+                    seen_keys.add(key)
+                    request = ExtensionRequest(trees=key[0], segments=key[1])
+                    satisfied.append(SatisfiedRequest(label=label, request=request))
+                    break
+        for sat in satisfied:
+            node = node_name(stage, sat.label)
+            for n, seg in zip(sat.request.trees, sat.request.segments):
+                states[n].add(node, max(seg, key=node_key))
+        log.append(StageRecord(stage, tuple(satisfied), exceeded_pool=exceeded, total_requests=total))
+    gamma = GroundSet(node_name(s, t) for s in range(params.stages) for t in range(params.label_pool))
+    trees = {n: FiniteTree(states[n].parent) for n in states}
+    return ReznSystem(params=params, gamma=gamma, trees=trees, stage_log=tuple(log))
 
 
 def small_system(**kw):
@@ -456,3 +529,39 @@ def test_partition_search_witnesses_replay(seed, threshold):
     assert len(hits) >= threshold
     assert tuple(sorted(hits)) == w.intersection
     assert _is_segment_of(sys.trees[w.tree], w.member)
+
+
+ENUM_BUDGETS = [1, 5, 50, Budgets.enum_budget]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 4),
+    st.integers(2, 7),
+    st.integers(1, 5),
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(ENUM_BUDGETS),
+)
+def test_build_matches_reference(n_trees, stages, spare, seed, enum_budget):
+    params = ReznParams(n_trees=n_trees, stages=stages, label_pool=n_trees + spare, rng_seed=seed)
+    assert system_to_dict(build(params, enum_budget)) == system_to_dict(_reference_build(params, enum_budget))
+
+
+@pytest.mark.parametrize("enum_budget", ENUM_BUDGETS)
+def test_build_matches_reference_on_enumerated_and_sampled_stages(enum_budget):
+    for params in (ReznParams(3, 6, 8, 11), ReznParams(4, 5, 12, 12), ReznParams(2, 32, 64, 1)):
+        payload = system_to_dict(build(params, enum_budget))
+        assert payload == system_to_dict(_reference_build(params, enum_budget))
+        if enum_budget == Budgets.enum_budget:
+            # the same build both enumerates and samples
+            assert {rec["exceeded_pool"] for rec in payload["stage_log"]} == {False, True}
+
+
+def test_build_does_not_parse_node_names(monkeypatch):
+    def refuse(atom):
+        raise AssertionError(f"build parsed the node name {atom!r}")
+
+    # the reference keeps its own binding of node_key
+    monkeypatch.setattr(reznichenko, "node_key", refuse)
+    for params in (ReznParams(3, 6, 8, 11), ReznParams(2, 32, 64, 1)):
+        assert system_to_dict(build(params)) == system_to_dict(_reference_build(params))

@@ -20,7 +20,7 @@ from jsnorm.serialize import (
     vector_from_dict,
     vector_to_dict,
     weighted_family_from_dict,
-    weighted_family_to_dict,
+    weighted_to_dict,
 )
 
 
@@ -83,7 +83,7 @@ def test_tree_round_trip():
 def test_weighted_family_round_trip():
     g = GroundSet(["a", "b"])
     sets = [WeightedSet(g, {"a": Fraction(1, 2)}), WeightedSet(g, {"b": 1})]
-    payload = weighted_family_to_dict(sets, g)
+    payload = {"ground": list(g.elements), "weighted": [weighted_to_dict(w)["weights"] for w in sets]}
     back, ground = weighted_family_from_dict(payload)
     assert ground.elements == g.elements
     assert [w.weights for w in back] == [w.weights for w in sets]

@@ -151,6 +151,20 @@ def test_qe_search_threshold_above_member_size():
     assert qe_partition_search(fam, [[a] for a in atoms], [list(atoms)], 4) is None
 
 
+@pytest.mark.parametrize("threshold", [0, -3])
+def test_qe_search_rejects_threshold_below_one(threshold):
+    fam, _ = admissible_family(SeqGrid(3, 1), max_size=2)
+    atoms = fam.ground.elements
+    with pytest.raises(InvalidPartitionError, match="threshold must be at least 1"):
+        qe_partition_search(fam, [[a] for a in atoms], [list(atoms)], threshold)
+
+
+def test_eberleinize_rejects_strata_for_non_members():
+    fam, strata = admissible_family(SeqGrid(3, 1), max_size=2)
+    with pytest.raises(MissingStratumError, match="not a family member"):
+        eberleinize(fam, {**strata, ("zz",): 3})
+
+
 def test_qe_search_picks_least_n0():
     g = SeqGrid(3, 1)
     fam, _ = admissible_family(g, max_size=2)
