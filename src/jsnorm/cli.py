@@ -25,9 +25,9 @@ from .serialize import (
     envelope_from_dict,
     family_from_dict,
     format_fraction,
-    load_json,
     members_from_dict,
     partition_from_dict,
+    read,
     strata_from_dict,
     supports_from_dict,
     tree_from_dict,
@@ -68,8 +68,8 @@ def _member_list(members) -> list[list[str]]:
 
 
 def _cmd_check_ci(args, budgets: Budgets) -> tuple[dict, int]:
-    family = family_from_dict(load_json(args.family))
-    envelope = None if args.envelope is None else envelope_from_dict(load_json(args.envelope))
+    family = read(args.family, family_from_dict)
+    envelope = None if args.envelope is None else read(args.envelope, envelope_from_dict)
     report = ci.check_ci(
         family,
         envelope,
@@ -87,12 +87,12 @@ def _cmd_norm(args, budgets: Budgets) -> tuple[dict, int]:
     if (args.family is None) == (args.tree is None):
         raise InputFormatError("norm needs exactly one of --family or --tree")
     if args.family is not None:
-        family = family_from_dict(load_json(args.family))
-        phi = vector_from_dict(load_json(args.vector), family.ground)
+        family = read(args.family, family_from_dict)
+        phi = read(args.vector, functools.partial(vector_from_dict, ground=family.ground))
         result = norm.norm_oracle(family, phi, state_budget=budgets.state_budget)
     else:
-        tree = tree_from_dict(load_json(args.tree))
-        phi = vector_from_dict(load_json(args.vector), tree.ground_set())
+        tree = read(args.tree, tree_from_dict)
+        phi = read(args.vector, functools.partial(vector_from_dict, ground=tree.ground_set()))
         result = norm.norm_tree_dp(tree, phi)
     payload = {
         "command": "norm",
@@ -106,8 +106,8 @@ def _cmd_norm(args, budgets: Budgets) -> tuple[dict, int]:
 
 def _cmd_norm_re(args, budgets: Budgets) -> tuple[dict, int]:
     precision = _precision(args)
-    sets, ground = weighted_family_from_dict(load_json(args.weighted))
-    phi = vector_from_dict(load_json(args.vector), ground)
+    sets, ground = read(args.weighted, weighted_family_from_dict)
+    phi = read(args.vector, functools.partial(vector_from_dict, ground=ground))
     result = norm.norm_weighted(sets, phi, state_budget=budgets.state_budget)
     payload = {
         "command": "norm-re",
@@ -120,8 +120,8 @@ def _cmd_norm_re(args, budgets: Budgets) -> tuple[dict, int]:
 
 
 def _cmd_disjointify(args, budgets: Budgets) -> tuple[dict, int]:
-    family = family_from_dict(load_json(args.family))
-    members = members_from_dict(load_json(args.members))
+    family = read(args.family, family_from_dict)
+    members = read(args.members, members_from_dict)
     result = ci.disjointify(family, members, state_budget=budgets.state_budget)
     return {"command": "disjointify", "parts": _member_list(result.parts)}, 0
 
@@ -149,23 +149,26 @@ def _witness_dict(w: Optional[reznichenko.PartitionWitness]):
     }
 
 
+def _system_from_dict(payload) -> reznichenko.ReznSystem:
+    if isinstance(payload, dict) and "system" in payload:
+        payload = payload["system"]  # accept a build report directly
+    return reznichenko.system_from_dict(payload)
+
+
 def _cmd_search_partition(args, budgets: Budgets) -> tuple[dict, int]:
-    payload_in = load_json(args.system)
-    if isinstance(payload_in, dict) and "system" in payload_in:
-        payload_in = payload_in["system"]  # accept a build report directly
-    sys_ = reznichenko.system_from_dict(payload_in)
-    blocks = partition_from_dict(load_json(args.partition))
+    sys_ = read(args.system, _system_from_dict)
+    blocks = read(args.partition, partition_from_dict)
     gamma_d = None
     if args.gamma_d is not None:
-        gamma_d = partition_from_dict(load_json(args.gamma_d))
+        gamma_d = read(args.gamma_d, partition_from_dict)
     witness = reznichenko.partition_search(sys_, blocks, gamma_d, threshold=args.threshold)
     return {"command": "search-partition", "witness": _witness_dict(witness)}, 0
 
 
 def _cmd_qe_search(args, budgets: Budgets) -> tuple[dict, int]:
-    family = family_from_dict(load_json(args.family))
-    gamma_d = partition_from_dict(load_json(args.gamma_d))
-    gamma_n = partition_from_dict(load_json(args.gamma_n))
+    family = read(args.family, family_from_dict)
+    gamma_d = read(args.gamma_d, partition_from_dict)
+    gamma_n = read(args.gamma_n, partition_from_dict)
     witness = talagrand.qe_partition_search(family, gamma_d, gamma_n, threshold=args.threshold)
     if witness is None:
         return {"command": "qe-search", "witness": None}, 0
@@ -222,9 +225,9 @@ def _grid_branching(atoms, width: int, length: int) -> Optional[int]:
 
 
 def _cmd_eberleinize(args, budgets: Budgets) -> tuple[dict, int]:
-    family = family_from_dict(load_json(args.family))
+    family = read(args.family, family_from_dict)
     if args.strata is not None:
-        strata = strata_from_dict(load_json(args.strata))
+        strata = read(args.strata, strata_from_dict)
     elif family.provenance == "admissible":
         strata = _grid_strata(family)
     else:
@@ -239,7 +242,7 @@ def _cmd_eberleinize(args, budgets: Budgets) -> tuple[dict, int]:
 
 
 def _cmd_saturate(args, budgets: Budgets) -> tuple[dict, int]:
-    supports, gamma_atoms = supports_from_dict(load_json(args.supports))
+    supports, gamma_atoms = read(args.supports, supports_from_dict)
     delta = GroundSet(sorted(supports))
     if gamma_atoms is None:
         atoms = sorted({g for atoms in supports.values() for g in atoms})

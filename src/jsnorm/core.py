@@ -59,7 +59,7 @@ class GroundSet:
         return len(self.elements)
 
     def covers(self, atoms: Iterable[Atom]) -> bool:
-        return all(a in self._index for a in atoms)
+        return self._index.issuperset(atoms)
 
 
 class FinVector:
@@ -246,39 +246,39 @@ class FiniteTree:
 
     def __init__(self, parent: Mapping[Atom, Optional[Atom]], forest: bool = False):
         nodes = tuple(parent)
-        node_set = set(nodes)
-        if len(node_set) != len(nodes):
+        if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate tree nodes")
         roots = []
         children: dict[Atom, list[Atom]] = {n: [] for n in nodes}
-        for node in nodes:
-            p = parent[node]
-            if p is None:
-                roots.append(node)
-            else:
-                if p not in node_set:
-                    raise ValueError(f"parent {p!r} of {node!r} is not a node")
-                children[p].append(node)
+        try:
+            for node, p in zip(nodes, map(parent.__getitem__, nodes)):
+                if p is None:
+                    roots.append(node)
+                else:
+                    children[p].append(node)
+        except KeyError:
+            raise ValueError(f"parent {p!r} of {node!r} is not a node") from None
         if not roots:
             raise ValueError("tree has no root")
         if len(roots) > 1 and not forest:
             raise ValueError("multiple roots require the forest flag")
-        # reject cycles: every node must reach a root
-        seen_ok: set[Atom] = set(roots)
-        for node in nodes:
-            chain = []
-            cur = node
-            while cur is not None and cur not in seen_ok:
-                chain.append(cur)
-                if len(chain) > len(nodes):
-                    raise ValueError("parent map contains a cycle")
-                cur = parent[cur]
-            seen_ok.update(chain)
+        # reject cycles: walking down from the roots must reach every node
+        reached, level = len(roots), roots
+        while level:
+            level = list(itertools.chain.from_iterable(map(children.__getitem__, level)))
+            reached += len(level)
+        if reached != len(nodes):
+            raise ValueError("parent map contains a cycle")
+        try:  # children gathered in sorted node order are already sorted
+            in_order = all(map(operator.lt, nodes, itertools.islice(nodes, 1, None)))
+        except TypeError:
+            in_order = False
         self.parent = dict(parent)
         self.forest = forest
         self.nodes = nodes
         self.roots = tuple(sorted(roots))
-        self._children = {n: tuple(sorted(c)) for n, c in children.items()}
+        lists = children.values() if in_order else map(sorted, children.values())
+        self._children = dict(zip(children, map(tuple, lists)))
 
     def children(self, node: Atom) -> tuple[Atom, ...]:
         return self._children[node]

@@ -12,8 +12,9 @@ stage log records exactly what happened so the lossiness stays visible.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 from .budgets import Budgets
 from .core import FiniteTree, GroundSet, Member, SetFamily, canonical_member
@@ -24,7 +25,7 @@ from .errors import (
     MissingStratumError,
     ResourceLimitError,
 )
-from .serialize import _check_atom_lists
+from .serialize import _check_atom_lists, nogc
 from .talagrand import validate_partition
 
 SEGMENT_BUDGET = 200_000
@@ -120,12 +121,53 @@ class StageRecord:
     total_requests: Optional[int]  # None when only "more than the pool" is known
 
 
+def _stage_records(stage_log: list) -> tuple[StageRecord, ...]:
+    """The records of a stage-log payload; the first bad request raises."""
+    return tuple(
+        StageRecord(
+            stage=rec["stage"],
+            exceeded_pool=rec["exceeded_pool"],
+            total_requests=rec["total_requests"],
+            satisfied=tuple(
+                SatisfiedRequest(
+                    label=sat["label"],
+                    request=ExtensionRequest(tuple(sat["trees"]), tuple(map(canonical_member, sat["segments"]))),
+                )
+                for sat in rec["satisfied"]
+            ),
+        )
+        for rec in stage_log
+    )
+
+
+class _DecodedLog(Sequence):
+    """A decoded system's stage log, already checked in bulk: its records
+    are built on first read, and the raw payload lists dropped then."""
+
+    def __init__(self, stage_log: list):
+        self._raw, self._records = stage_log, None
+
+    def _built(self) -> tuple[StageRecord, ...]:
+        if self._records is None:
+            self._records, self._raw = _stage_records(self._raw), None
+        return self._records
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __len__(self) -> int:
+        return len(self._built())
+
+    def __eq__(self, other: object) -> bool:
+        return self._built() == other
+
+
 @dataclass(frozen=True)
 class ReznSystem:
     params: ReznParams
     gamma: GroundSet
     trees: dict[int, FiniteTree]
-    stage_log: tuple[StageRecord, ...]
+    stage_log: Sequence[StageRecord]
 
     def level_map(self, n: int) -> dict[str, int]:
         tree = self.tree(n)
@@ -243,6 +285,7 @@ def verify_system(sys: ReznSystem, *, full: bool = True) -> dict:
     if full is not True:
         raise ValueError("verify_system is always exhaustive; full must be True")
     params = sys.params
+    log = tuple(sys.stage_log)  # builds a decoded log now, so its payload lists go before the maps below
     trees = {n: sys.tree(n) for n in range(1, params.n_trees + 1)}
     key = {v: node_key(v) for v in set().union(*(t.nodes for t in trees.values()))}
     # proper ancestors of every node, nearest first, for the extension and
@@ -252,7 +295,7 @@ def verify_system(sys: ReznSystem, *, full: bool = True) -> dict:
     added: dict[int, set[str]] = {n: set() for n in trees}
     ext_failures = []
     ext_checked = 0
-    for rec in sys.stage_log:
+    for rec in log:
         for sat in rec.satisfied:
             node = node_name(rec.stage, sat.label)
             ext_checked += 1
@@ -491,6 +534,8 @@ def partition_search(
     exhaustive scan over all segments settles the answer, so None really
     means no witness exists.
     """
+    if type(threshold) is not int:
+        raise InvalidPartitionError(f"threshold must be an integer, got {threshold!r}")
     if threshold < 1:
         raise InvalidPartitionError("threshold must be at least 1")
     d_blocks = validate_partition(sys.gamma, d_partition, name="d_partition")
@@ -537,53 +582,46 @@ def system_to_dict(sys: ReznSystem) -> dict:
 
 
 def system_from_dict(payload: dict) -> ReznSystem:
-    try:
-        params = ReznParams(
-            n_trees=payload["params"]["n_trees"],
-            stages=payload["params"]["stages"],
-            label_pool=payload["params"]["label_pool"],
-            rng_seed=payload["params"]["rng_seed"],
-        )
-        raw_trees = payload["trees"]
-        if type(raw_trees) is not dict or set(raw_trees) != {str(n) for n in range(1, params.n_trees + 1)}:
-            raise InputFormatError(f"'trees' must be an object keyed \"1\"..\"{params.n_trees}\"")
-        if not all(type(parent_map) is dict for parent_map in raw_trees.values()):
-            raise InputFormatError("each tree must be an object mapping node to parent")
-        trees = {int(n): FiniteTree(parent_map) for n, parent_map in raw_trees.items()}
-        stage_log = payload["stage_log"]
-        sats = [sat for rec in stage_log for sat in rec["satisfied"]]
-        _check_atom_lists([seg for sat in sats for seg in sat["segments"]], "stage-log segments")
-        tree_lists = [sat["trees"] for sat in sats]
-        ints = itertools.chain([rec["stage"] for rec in stage_log], [sat["label"] for sat in sats], *tree_lists)
-        flags = {(type(rec["exceeded_pool"]), type(rec["total_requests"])) for rec in stage_log}
-        if not (set(map(type, tree_lists)) <= {list} and set(map(type, ints)) <= {int}):
-            raise InputFormatError("stage-log stages, labels and tree indices must be integers")
-        if not flags <= {(bool, int), (bool, type(None))}:
-            raise InputFormatError("stage-log exceeded_pool must be a boolean, total_requests an integer or null")
-        log = tuple(
-            StageRecord(
-                stage=rec["stage"],
-                exceeded_pool=rec["exceeded_pool"],
-                total_requests=rec["total_requests"],
-                satisfied=tuple(
-                    SatisfiedRequest(
-                        label=sat["label"],
-                        request=ExtensionRequest(
-                            trees=tuple(sat["trees"]),
-                            segments=tuple(canonical_member(s) for s in sat["segments"]),
-                        ),
-                    )
-                    for sat in rec["satisfied"]
-                ),
+    """Decode a system under one collector pause. Its stage log is checked in
+    bulk and built from ``payload``'s lists when first read, so they must not
+    change before; a failed check builds it at once to name the first fault."""
+    with nogc():
+        try:
+            params = ReznParams(
+                n_trees=payload["params"]["n_trees"],
+                stages=payload["params"]["stages"],
+                label_pool=payload["params"]["label_pool"],
+                rng_seed=payload["params"]["rng_seed"],
             )
-            for rec in stage_log
+            raw_trees = payload["trees"]
+            if type(raw_trees) is not dict or set(raw_trees) != {str(n) for n in range(1, params.n_trees + 1)}:
+                raise InputFormatError(f"'trees' must be an object keyed \"1\"..\"{params.n_trees}\"")
+            if not all(type(parent_map) is dict for parent_map in raw_trees.values()):
+                raise InputFormatError("each tree must be an object mapping node to parent")
+            trees = {int(n): FiniteTree(parent_map) for n, parent_map in raw_trees.items()}
+            stage_log = payload["stage_log"]
+            sats = [sat for rec in stage_log for sat in rec["satisfied"]]
+            seg_lists = [sat["segments"] for sat in sats]
+            _check_atom_lists(list(itertools.chain.from_iterable(seg_lists)), "stage-log segments")
+            tree_lists = [sat["trees"] for sat in sats]
+            ints = itertools.chain([rec["stage"] for rec in stage_log], [sat["label"] for sat in sats], *tree_lists)
+            flags = {(type(rec["exceeded_pool"]), type(rec["total_requests"])) for rec in stage_log}
+            if not (set(map(type, tree_lists)) <= {list} and set(map(type, ints)) <= {int}):
+                raise InputFormatError("stage-log stages, labels and tree indices must be integers")
+            if not flags <= {(bool, int), (bool, type(None))}:
+                raise InputFormatError("stage-log exceeded_pool must be a boolean, total_requests an integer or null")
+            # one segment per tree, and each request's union as large as its
+            # segments' sizes summed: then its segments are disjoint sets
+            counts_match = list(map(len, tree_lists)) == list(map(len, seg_lists))
+            unions = sum(map(len, itertools.starmap(set().union, seg_lists)))
+            disjoint = unions == sum(map(len, itertools.chain.from_iterable(seg_lists)))
+            log = _DecodedLog(stage_log) if counts_match and disjoint else _stage_records(stage_log)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputFormatError(f"malformed system payload: {exc}") from exc
+        gamma = GroundSet(
+            node_name(s, t) for s in range(params.stages) for t in range(params.label_pool)
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"malformed system payload: {exc}") from exc
-    gamma = GroundSet(
-        node_name(s, t) for s in range(params.stages) for t in range(params.label_pool)
-    )
-    if not all(gamma.covers(tree.nodes) for tree in trees.values()):
-        stray = min(v for tree in trees.values() for v in tree.nodes if v not in gamma)
-        raise InputFormatError(f"tree node {stray!r} is not a stage:label atom of the system")
-    return ReznSystem(params=params, gamma=gamma, trees=trees, stage_log=log)
+        if not all(gamma.covers(tree.nodes) for tree in trees.values()):
+            stray = min(v for tree in trees.values() for v in tree.nodes if v not in gamma)
+            raise InputFormatError(f"tree node {stray!r} is not a stage:label atom of the system")
+        return ReznSystem(params=params, gamma=gamma, trees=trees, stage_log=log)

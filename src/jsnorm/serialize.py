@@ -6,10 +6,12 @@ by key with fixed separators so equal inputs yield byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import json
 from fractions import Fraction
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Iterator, Mapping, Optional
 
 from .core import FinVector, FiniteTree, GroundSet, Member, SetFamily, WeightedSet, canonical_member
 from .errors import InputFormatError
@@ -211,3 +213,23 @@ def load_json(path: str) -> Any:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
+
+
+@contextlib.contextmanager
+def nogc() -> Iterator[None]:
+    """Pause the cyclic collector while large acyclic containers are built;
+    the state found is restored, also on error, and a nested use does nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def read(path: str, decode: Callable[[Any], Any]) -> Any:
+    """``decode(load_json(path))`` inside one collector pause, so the raw
+    payload is parsed, decoded and freed without a collection over it."""
+    with nogc():
+        return decode(load_json(path))

@@ -173,6 +173,10 @@ def validate_partition(
 ) -> list[Member]:
     """Blocks must be disjoint and cover the ground set exactly."""
     canon = [canonical_member(b) for b in blocks]
+    atoms = list(itertools.chain.from_iterable(canon))
+    if all(canon) and len(atoms) == len(ground) == len(set(atoms)) and ground.covers(atoms):
+        return canon
+    # otherwise walk the blocks to name the first fault
     seen: dict[str, int] = {}
     for i, block in enumerate(canon):
         if not block:
@@ -207,6 +211,8 @@ def qe_partition_search(
 ) -> Optional[QePartitionWitness]:
     """First member meeting some gamma_n block in >= threshold atoms while
     meeting every gamma_d block at most once; None after exhausting all."""
+    if type(threshold) is not int:
+        raise InvalidPartitionError(f"threshold must be an integer, got {threshold!r}")
     if threshold < 1:
         raise InvalidPartitionError("threshold must be at least 1")
     d_blocks = validate_partition(family.ground, gamma_d, name="gamma_d")
@@ -252,7 +258,7 @@ def eberleinize(family: SetFamily, strata: Mapping[Member, int]) -> list[Weighte
         if m not in strata:
             raise MissingStratumError(f"no stratum for member {m!r}")
         n = strata[m]
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise MissingStratumError(f"stratum of {m!r} must be a positive integer, got {n!r}")
         out.append(WeightedSet(family.ground, {a: Fraction(1, n) for a in m}))
     if len(strata) > len(out):

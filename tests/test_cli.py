@@ -656,6 +656,7 @@ def test_search_partition_overlapping_request_segments_exit_2(capsys, tmp_path):
     assert code == 2
     assert payload["error"]["code"] == "input-format"
     assert "pairwise disjoint" in payload["error"]["message"]
+    assert payload["error"]["message"] == "request segments must be pairwise disjoint"
 
 
 @pytest.mark.parametrize(
@@ -805,6 +806,25 @@ _STAGE_LOG_FAULTS = {
     "string-label": ("label", "x"),
 }
 
+_TREES_KEYED = '\'trees\' must be an object keyed "1".."2"'
+_STAGE_LOG_INTS = "stage-log stages, labels and tree indices must be integers"
+_STAGE_LOG_FLAGS = "stage-log exceeded_pool must be a boolean, total_requests an integer or null"
+# Each fault's message, as the eager stage-log decoder gave it.
+_BAD_SYSTEM_MESSAGES = {
+    "missing-tree": _TREES_KEYED,
+    "extra-tree": _TREES_KEYED,
+    "padded-key": _TREES_KEYED,
+    "float-stages": "stages must be an integer, got 3.0",
+    "bool-seed": "rng_seed must be an integer, got True",
+    "list-trees": _TREES_KEYED,
+    "list-tree": "each tree must be an object mapping node to parent",
+    "stray-node": "tree node 'zz' is not a stage:label atom of the system",
+    "string-segment": "bad stage-log segments: expected lists of atoms",
+    "int-atom-segment": "bad stage-log segments: atoms must be strings",
+    **{fault: _STAGE_LOG_INTS for fault in _STAGE_LOG_FAULTS if "pool" not in fault and "total" not in fault},
+    **{fault: _STAGE_LOG_FLAGS for fault in _STAGE_LOG_FAULTS if "pool" in fault or "total" in fault},
+}
+
 
 @pytest.mark.parametrize(
     "fault",
@@ -862,6 +882,7 @@ def test_search_partition_bad_system_exits_2(capsys, tmp_path, fault):
     )
     assert code == 2
     assert payload["error"]["code"] == "input-format"
+    assert payload["error"]["message"] == _BAD_SYSTEM_MESSAGES[fault]
 
 
 @pytest.mark.parametrize(

@@ -165,3 +165,65 @@ def test_segments_are_chains(depth, data):
     for lo, hi in zip(nodes, nodes[1:]):
         assert lo in t.ancestors(hi)
     assert canonical_member(t.ancestors(nodes[-1])[: len(m)]) == m
+
+
+def _reference_tree(parent, forest=False):
+    """The FiniteTree constructor before its bulk checks: a per-node cycle
+    walk and a sort of every child list. Returns (parent, roots, children)."""
+    nodes = tuple(parent)
+    node_set = set(nodes)
+    if len(node_set) != len(nodes):
+        raise ValueError("duplicate tree nodes")
+    roots = []
+    children = {n: [] for n in nodes}
+    for node in nodes:
+        p = parent[node]
+        if p is None:
+            roots.append(node)
+        else:
+            if p not in node_set:
+                raise ValueError(f"parent {p!r} of {node!r} is not a node")
+            children[p].append(node)
+    if not roots:
+        raise ValueError("tree has no root")
+    if len(roots) > 1 and not forest:
+        raise ValueError("multiple roots require the forest flag")
+    seen_ok = set(roots)
+    for node in nodes:
+        chain = []
+        cur = node
+        while cur is not None and cur not in seen_ok:
+            chain.append(cur)
+            if len(chain) > len(nodes):
+                raise ValueError("parent map contains a cycle")
+            cur = parent[cur]
+        seen_ok.update(chain)
+    return dict(parent), tuple(sorted(roots)), {n: tuple(sorted(c)) for n, c in children.items()}
+
+
+@st.composite
+def _parent_maps(draw):
+    """A random tree over short "stage:label"-like names, then up to three
+    edits, each hanging a node under any node (itself included), under None
+    (a second root) or under a missing name; listed sorted or shuffled."""
+    names = draw(st.lists(st.text("01:ab", min_size=1, max_size=3), min_size=1, max_size=12, unique=True))
+    parent = {v: names[draw(st.integers(0, i - 1))] if i else None for i, v in enumerate(names)}
+    for _ in range(draw(st.integers(0, 3))):
+        parent[draw(st.sampled_from(names))] = draw(st.sampled_from([*names, None, "zz"]))
+    order = sorted(parent) if draw(st.booleans()) else draw(st.permutations(list(parent)))
+    return {v: parent[v] for v in order}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_parent_maps(), st.booleans())
+def test_finite_tree_matches_reference(parent, forest):
+    try:
+        expected = _reference_tree(parent, forest)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            FiniteTree(parent, forest=forest)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    tree = FiniteTree(parent, forest=forest)
+    assert (tree.parent, tree.roots, {n: tree.children(n) for n in tree.nodes}) == expected
+    assert tree.nodes == tuple(parent)

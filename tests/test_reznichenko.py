@@ -494,6 +494,72 @@ def test_serialization_round_trip():
         system_from_dict({"params": {}})
 
 
+@pytest.mark.parametrize("threshold", [1.5, 2.0, True])
+def test_partition_search_rejects_non_integer_threshold(threshold):
+    sys = small_system()
+    with pytest.raises(InvalidPartitionError, match="threshold must be an integer"):
+        partition_search(sys, [list(sys.gamma.elements)], None, threshold=threshold)
+
+
+# The build shapes of the benchmark's tree-system workload, at fixed seeds.
+_BENCH_BUILDS = [(8, 32, 64, 1), (8, 32, 64, 2), (2, 32, 64, 1), (3, 24, 128, 1), (16, 64, 128, 1)]
+
+
+@pytest.mark.parametrize("shape", _BENCH_BUILDS, ids=lambda s: "/".join(map(str, s)))
+def test_decoded_log_equals_built_log(shape):
+    sys = build(ReznParams(*shape))
+    payload = system_to_dict(sys)
+    back = system_from_dict(payload)
+    assert back.stage_log == sys.stage_log and sys.stage_log == back.stage_log
+    assert tuple(back.stage_log) == sys.stage_log and len(back.stage_log) == len(sys.stage_log)
+    assert system_to_dict(back) == payload
+    assert verify_system(back) == verify_system(sys)
+
+
+def test_search_partition_builds_no_stage_record(monkeypatch, tmp_path, capsys):
+    from jsnorm import cli
+    from jsnorm.serialize import canonical_json
+
+    sys = build(ReznParams(4, 8, 12, 5))
+    atoms = list(sys.gamma.elements)
+    system, part = tmp_path / "system.json", tmp_path / "part.json"
+    system.write_text(canonical_json({"command": "build-reznichenko", "system": system_to_dict(sys)}))
+    part.write_text(canonical_json({"blocks": [atoms[i::4] for i in range(4)]}))
+    argv = ["search-partition", "--system", str(system), "--partition", str(part), "--threshold", "2"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("search-partition built a stage record")
+
+    monkeypatch.setattr(reznichenko, "ExtensionRequest", refuse)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert '"witness":{' in expected
+
+
+def test_decoded_log_reads_segments_as_sets():
+    payload = system_to_dict(build(ReznParams(2, 3, 4, 7)))
+    expected = tuple(system_from_dict(payload).stage_log)
+    seg = payload["stage_log"][1]["satisfied"][0]["segments"][0]
+    seg.extend(reversed(seg))  # every atom twice: the same set
+    assert system_from_dict(payload).stage_log == expected
+
+
+@pytest.mark.parametrize("faults", [("count",), ("overlap",), ("count", "overlap"), ("overlap", "count")])
+def test_first_bad_request_names_its_fault(faults):
+    payload = system_to_dict(build(ReznParams(3, 4, 6, 2)))
+    sats = [sat for rec in payload["stage_log"] for sat in rec["satisfied"] if len(sat["trees"]) == 2]
+    for fault, sat in zip(faults, sats):
+        if fault == "count":
+            sat["trees"] = sat["trees"][:1]
+        else:
+            sat["segments"][1] = sat["segments"][1] + sat["segments"][0]
+    message = {"count": "one segment per requested tree", "overlap": "request segments must be pairwise disjoint"}
+    with pytest.raises(InputFormatError, match=f"^{message[faults[0]]}$"):
+        system_from_dict(payload)
+
+
 def test_default_build_contract():
     sys = build(ReznParams())
     assert sys.params.n_trees == 8

@@ -1,3 +1,4 @@
+import gc
 import json
 from fractions import Fraction
 
@@ -12,8 +13,10 @@ from jsnorm.serialize import (
     family_from_dict,
     family_to_dict,
     format_fraction,
+    nogc,
     parse_fraction,
     partition_from_dict,
+    read,
     supports_from_dict,
     tree_from_dict,
     tree_to_dict,
@@ -143,3 +146,52 @@ def test_tree_from_dict_rejects_non_object_parent(parent):
     # dict() would read a list of pairs, or of two-letter strings, as a tree
     with pytest.raises(InputFormatError, match="'parent' must be an object"):
         tree_from_dict({"parent": parent})
+
+
+def test_nogc_restores_the_collector_it_found():
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        with nogc():
+            assert not gc.isenabled()
+            with nogc():  # a nested pause does nothing
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+        with pytest.raises(KeyError):
+            with nogc():
+                raise KeyError("decode failed")
+        assert gc.isenabled()
+        gc.disable()
+        with nogc():
+            assert not gc.isenabled()
+        with pytest.raises(KeyError):
+            with nogc():
+                raise KeyError("decode failed")
+        assert not gc.isenabled()  # a collector found off stays off
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_read_decodes_inside_one_pause(tmp_path):
+    path = tmp_path / "partition.json"
+    path.write_text(canonical_json({"blocks": [["a"], ["b"]]}))
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        seen = []
+
+        def decode(payload):
+            seen.append(gc.isenabled())
+            return partition_from_dict(payload)
+
+        assert read(str(path), decode) == [["a"], ["b"]]
+        assert seen == [False] and gc.isenabled()
+        with pytest.raises(InputFormatError, match="bad family payload"):
+            read(str(path), family_from_dict)
+        assert gc.isenabled()
+        with pytest.raises(InputFormatError, match="cannot read"):
+            read(str(tmp_path / "missing.json"), decode)
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()

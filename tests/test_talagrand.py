@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jsnorm.core import GroundSet
+from jsnorm.core import GroundSet, SetFamily, canonical_member
 from jsnorm.errors import (
     EmptySupportError,
     GroundMismatchError,
@@ -125,6 +125,61 @@ def test_validate_partition():
         validate_partition(g, [["a", "b", "z"]])
 
 
+def _reference_validate_partition(ground, blocks, name="partition"):
+    """validate_partition as a plain walk over the blocks, atom by atom."""
+    canon = [canonical_member(b) for b in blocks]
+    seen = {}
+    for i, block in enumerate(canon):
+        if not block:
+            raise InvalidPartitionError(f"{name} block {i} is empty")
+        for a in block:
+            if a not in ground:
+                raise InvalidPartitionError(f"{name} block {i} contains unknown atom {a!r}")
+            if a in seen:
+                raise InvalidPartitionError(f"{name} blocks {seen[a]} and {i} both contain {a!r}")
+            seen[a] = i
+    missing = next((a for a in ground.elements if a not in seen), None)
+    if missing is not None:
+        raise InvalidPartitionError(f"{name} does not cover atom {missing!r}")
+    return canon
+
+
+@st.composite
+def _partitions(draw):
+    """A partition of a small ground in random block order, then up to two
+    faults: an empty block, an unknown atom, a repeated atom, a missing atom."""
+    atoms = [f"a{i}" for i in range(draw(st.integers(1, 8)))]
+    perm = draw(st.permutations(atoms))
+    cuts = sorted(draw(st.sets(st.integers(1, len(atoms)), max_size=len(atoms))) - {len(atoms)})
+    blocks = [list(perm[i:j]) for i, j in zip([0, *cuts], [*cuts, len(atoms)])]
+    for _ in range(draw(st.integers(0, 2))):
+        fault = draw(st.sampled_from(["empty", "unknown", "repeat", "missing"]))
+        i = draw(st.integers(0, len(blocks) - 1))
+        if fault == "empty":
+            blocks.insert(i, [])
+        elif fault == "unknown":
+            blocks[i].append("zz")
+        elif fault == "repeat":
+            blocks[i].append(draw(st.sampled_from(atoms)))
+        elif blocks[i]:
+            blocks[i].pop(draw(st.integers(0, len(blocks[i]) - 1)))
+    return GroundSet(atoms), blocks
+
+
+@settings(max_examples=300, deadline=None)
+@given(_partitions())
+def test_validate_partition_matches_reference(case):
+    ground, blocks = case
+    try:
+        expected = _reference_validate_partition(ground, blocks, name="gamma_d")
+    except InvalidPartitionError as exc:
+        with pytest.raises(InvalidPartitionError) as got:
+            validate_partition(ground, blocks, name="gamma_d")
+        assert str(got.value) == str(exc)
+        return
+    assert validate_partition(ground, blocks, name="gamma_d") == expected
+
+
 def test_qe_search_finds_witness():
     g = SeqGrid(3, 1)
     fam, _ = admissible_family(g, max_size=3)
@@ -157,6 +212,20 @@ def test_qe_search_rejects_threshold_below_one(threshold):
     atoms = fam.ground.elements
     with pytest.raises(InvalidPartitionError, match="threshold must be at least 1"):
         qe_partition_search(fam, [[a] for a in atoms], [list(atoms)], threshold)
+
+
+@pytest.mark.parametrize("threshold", [1.5, 2.0, True])
+def test_qe_search_rejects_non_integer_threshold(threshold):
+    fam, _ = admissible_family(SeqGrid(3, 1), max_size=2)
+    atoms = fam.ground.elements
+    with pytest.raises(InvalidPartitionError, match="threshold must be an integer"):
+        qe_partition_search(fam, [[a] for a in atoms], [list(atoms)], threshold)
+
+
+def test_eberleinize_rejects_boolean_stratum():
+    fam = SetFamily(GroundSet(["a", "b"]), [("a",), ("a", "b")])
+    with pytest.raises(MissingStratumError, match="must be a positive integer, got True"):
+        eberleinize(fam, {("a",): True, ("a", "b"): True})
 
 
 def test_eberleinize_rejects_strata_for_non_members():
