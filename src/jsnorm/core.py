@@ -242,7 +242,7 @@ class WeightedSet:
 class FiniteTree:
     """Rooted finite tree (or forest) over string-named nodes."""
 
-    __slots__ = ("parent", "forest", "nodes", "_children", "roots")
+    __slots__ = ("parent", "forest", "nodes", "_children", "roots", "_depth")
 
     def __init__(self, parent: Mapping[Atom, Optional[Atom]], forest: bool = False):
         nodes = tuple(parent)
@@ -263,10 +263,11 @@ class FiniteTree:
         if len(roots) > 1 and not forest:
             raise ValueError("multiple roots require the forest flag")
         # reject cycles: walking down from the roots must reach every node
-        reached, level = len(roots), roots
+        reached, level, depth = len(roots), roots, -1
         while level:
             level = list(itertools.chain.from_iterable(map(children.__getitem__, level)))
             reached += len(level)
+            depth += 1
         if reached != len(nodes):
             raise ValueError("parent map contains a cycle")
         try:  # children gathered in sorted node order are already sorted
@@ -277,6 +278,7 @@ class FiniteTree:
         self.forest = forest
         self.nodes = nodes
         self.roots = tuple(sorted(roots))
+        self._depth = depth
         lists = children.values() if in_order else map(sorted, children.values())
         self._children = dict(zip(children, map(tuple, lists)))
 
@@ -293,20 +295,8 @@ class FiniteTree:
         return chain
 
     def depth(self) -> int:
-        depths: dict[Atom, int] = {}
-        best = 0
-        for node in self.nodes:
-            stack = []
-            cur = node
-            while cur is not None and cur not in depths:
-                stack.append(cur)
-                cur = self.parent[cur]
-            base = -1 if cur is None else depths[cur]
-            for n in reversed(stack):
-                base += 1
-                depths[n] = base
-            best = max(best, depths[node])
-        return best
+        """Edges on the longest root-to-leaf chain."""
+        return self._depth
 
     def ground_set(self) -> GroundSet:
         return GroundSet(sorted(self.nodes))

@@ -21,12 +21,11 @@ from .core import FiniteTree, GroundSet, Member, SetFamily, canonical_member
 from .errors import (
     IndexOutOfRangeError,
     InputFormatError,
-    InvalidPartitionError,
     MissingStratumError,
     ResourceLimitError,
 )
 from .serialize import _check_atom_lists, nogc
-from .talagrand import validate_partition
+from .talagrand import check_threshold, validate_partition
 
 SEGMENT_BUDGET = 200_000
 SAMPLE_RETRIES = 64
@@ -443,111 +442,55 @@ class PartitionWitness:
     per_block_counts: dict[int, int] = field(hash=False, default_factory=dict)
 
 
-def _witness(n: int, chain: list[str], d_of: dict[str, int], hit: int, counts: dict[int, int]) -> PartitionWitness:
-    """The witness for a chain of tree n that meets block ``hit`` often enough."""
-    return PartitionWitness(
-        member=canonical_member(chain),
-        tree=n,
-        block=hit,
-        intersection=canonical_member(a for a in chain if d_of[a] == hit),
-        per_block_counts=dict(sorted(counts.items())),
-    )
-
-
-def _scan_witness(
-    sys: ReznSystem,
-    d_of: dict[str, int],
-    g_of: Optional[dict[str, int]],
-    threshold: int,
-) -> Optional[PartitionWitness]:
-    for n in sorted(sys.trees):
-        tree = sys.trees[n]
-        for w in sorted(tree.nodes):
-            counts: dict[int, int] = {}
-            gcounts: dict[int, int] = {}
-            segment: list[str] = []
-            hit: Optional[int] = None
-            for u in tree.ancestors(w):
-                segment.append(u)
-                if g_of is not None:
-                    g = g_of[u]
-                    gcounts[g] = gcounts.get(g, 0) + 1
-                    if gcounts[g] > 1:
-                        break
-                d = d_of[u]
-                counts[d] = counts.get(d, 0) + 1
-                if hit is None and counts[d] >= threshold:
-                    hit = d
-                if hit is not None:
-                    return _witness(n, segment, d_of, hit, counts)
-    return None
-
-
-def _greedy_witness(
-    sys: ReznSystem,
-    d_of: dict[str, int],
-    g_of: Optional[dict[str, int]],
-    threshold: int,
-) -> Optional[PartitionWitness]:
-    """Grow one root chain per tree, always stepping toward a repeated block."""
-    for n in sorted(sys.trees):
-        tree = sys.trees[n]
-        node = tree.roots[0]
-        chain = [node]
-        counts: dict[int, int] = {d_of[node]: 1}
-        gcounts: dict[int, int] = {}
-        if g_of is not None:
-            gcounts[g_of[node]] = 1
-        while True:
-            best = max(counts.values())
-            if best >= threshold:
-                hit = min(d for d, c in counts.items() if c >= threshold)
-                return _witness(n, chain, d_of, hit, counts)
-            step = None
-            step_gain = -1
-            for c in tree.children(node):
-                if g_of is not None and gcounts.get(g_of[c], 0) >= 1:
-                    continue
-                gain = counts.get(d_of[c], 0)
-                if gain > step_gain:
-                    step, step_gain = c, gain
-            if step is None:
-                break
-            node = step
-            chain.append(node)
-            counts[d_of[node]] = counts.get(d_of[node], 0) + 1
-            if g_of is not None:
-                gcounts[g_of[node]] = gcounts.get(g_of[node], 0) + 1
-    return None
-
-
 def partition_search(
     sys: ReznSystem,
     d_partition: Iterable[Iterable[str]],
     gamma_d: Optional[Iterable[Iterable[str]]] = None,
     threshold: int = 1,
 ) -> Optional[PartitionWitness]:
-    """Segment meeting one block of d_partition at least ``threshold`` times
-    while meeting every block of gamma_d (when given) at most once.
+    """The first segment, in canonical order, that meets one block of
+    d_partition at least ``threshold`` times while meeting every block of
+    gamma_d (when given) at most once; None when no segment does.
 
-    A greedy per-tree chain growth runs first; if it stalls, an incremental
-    exhaustive scan over all segments settles the answer, so None really
-    means no witness exists.
+    Trees are taken by index, and within a tree the bottom nodes ``w`` in
+    canonical atom order. The walk from ``w`` toward the root stops at the
+    first repeated gamma_d block. The witness is the first prefix of that
+    walk in which one d_partition block reaches ``threshold``; that block
+    is the witness's ``block``. Every segment is some walk's prefix, so the
+    scan is exhaustive.
     """
-    if type(threshold) is not int:
-        raise InvalidPartitionError(f"threshold must be an integer, got {threshold!r}")
-    if threshold < 1:
-        raise InvalidPartitionError("threshold must be at least 1")
+    check_threshold(threshold)
     d_blocks = validate_partition(sys.gamma, d_partition, name="d_partition")
     d_of = {a: i for i, block in enumerate(d_blocks) for a in block}
     g_of = None
     if gamma_d is not None:
         g_blocks = validate_partition(sys.gamma, gamma_d, name="gamma_d")
         g_of = {a: i for i, block in enumerate(g_blocks) for a in block}
-    witness = _greedy_witness(sys, d_of, g_of, threshold)
-    if witness is not None:
-        return witness
-    return _scan_witness(sys, d_of, g_of, threshold)
+    for n in sorted(sys.trees):
+        tree = sys.trees[n]
+        for w in sorted(tree.nodes):
+            chain: list[str] = []
+            counts: dict[int, int] = {}
+            g_seen: set[int] = set()
+            u = w
+            while u is not None:
+                if g_of is not None:
+                    if g_of[u] in g_seen:
+                        break
+                    g_seen.add(g_of[u])
+                chain.append(u)
+                d = d_of[u]
+                counts[d] = counts.get(d, 0) + 1
+                if counts[d] >= threshold:
+                    return PartitionWitness(
+                        member=canonical_member(chain),
+                        tree=n,
+                        block=d,
+                        intersection=canonical_member(a for a in chain if d_of[a] == d),
+                        per_block_counts=dict(sorted(counts.items())),
+                    )
+                u = tree.parent[u]
+    return None
 
 
 def system_to_dict(sys: ReznSystem) -> dict:

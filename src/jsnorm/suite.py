@@ -241,16 +241,15 @@ def _brute_pack_best(cands: list[set], target: set) -> int:
 
 
 def _replay_ci_failure(family: SetFamily, report: ci_mod.CiReport, budgets: Budgets) -> bool:
-    """Confirm that a failed report's witness still demonstrates the failure."""
+    """Confirm that every failed condition's witness still demonstrates its failure."""
+    replays = []
     if not report.condition_a.passed:
         atom = report.condition_a.witness["atom"]
-        return (atom,) not in family
+        replays.append((atom,) not in family)
     if not report.condition_b.passed:
         w = report.condition_b.witness
-        return (
-            ci_mod.check_condition_b(family, w["s"], w["t"], state_budget=budgets.state_budget)
-            is None
-        )
+        cover = ci_mod.check_condition_b(family, w["s"], w["t"], state_budget=budgets.state_budget)
+        replays.append(cover is None)
     if not report.condition_c.passed:
         w = report.condition_c.witness
         s = set(w["s"])
@@ -258,11 +257,9 @@ def _replay_ci_failure(family: SetFamily, report: ci_mod.CiReport, budgets: Budg
         for t in w["tuple"]:
             union |= s & set(t)
         target = s - union
-        if not target:
-            return False
         cands = [set(m) for m in family.members if set(m) <= target]
-        return _brute_pack_best(cands, target) < len(target)
-    return False
+        replays.append(bool(target) and _brute_pack_best(cands, target) < len(target))
+    return bool(replays) and all(replays)
 
 
 def criterion_5_ci_suite(seed: int, budgets: Budgets) -> dict:

@@ -189,10 +189,16 @@ def validate_partition(
                     f"{name} blocks {seen[a]} and {i} both contain {a!r}"
                 )
             seen[a] = i
-    missing = next((a for a in ground.elements if a not in seen), None)
-    if missing is not None:
-        raise InvalidPartitionError(f"{name} does not cover atom {missing!r}")
-    return canon
+    missing = next(a for a in ground.elements if a not in seen)
+    raise InvalidPartitionError(f"{name} does not cover atom {missing!r}")
+
+
+def check_threshold(threshold: int) -> None:
+    """A search threshold is an ``int`` (not a ``bool``) of at least 1."""
+    if type(threshold) is not int:
+        raise InvalidPartitionError(f"threshold must be an integer, got {threshold!r}")
+    if threshold < 1:
+        raise InvalidPartitionError("threshold must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -211,10 +217,7 @@ def qe_partition_search(
 ) -> Optional[QePartitionWitness]:
     """First member meeting some gamma_n block in >= threshold atoms while
     meeting every gamma_d block at most once; None after exhausting all."""
-    if type(threshold) is not int:
-        raise InvalidPartitionError(f"threshold must be an integer, got {threshold!r}")
-    if threshold < 1:
-        raise InvalidPartitionError("threshold must be at least 1")
+    check_threshold(threshold)
     d_blocks = validate_partition(family.ground, gamma_d, name="gamma_d")
     n_blocks = validate_partition(family.ground, gamma_n, name="gamma_n")
     d_of: dict[str, int] = {}

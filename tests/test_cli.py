@@ -321,6 +321,14 @@ def test_qe_search_command(capsys, inputs):
     assert payload["witness"]["s"] == ["0", "1"]
 
 
+def test_qe_search_reports_none(capsys, inputs):
+    # adm.json members hold at most two atoms, so no gamma_n block meets three
+    argv = ["qe-search", "--family", inputs["adm.json"], "--gamma-d", inputs["gd.json"], "--gamma-n", inputs["gn.json"]]
+    code = cli.main(argv + ["--threshold", "3"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == '{"command":"qe-search","witness":null}'
+
+
 @pytest.mark.parametrize("threshold", ["0", "-3"])
 def test_qe_search_threshold_below_one_exits_1(capsys, inputs, threshold):
     argv = ["qe-search", "--family", inputs["adm.json"], "--gamma-d", inputs["gd.json"], "--gamma-n", inputs["gn.json"]]
@@ -335,6 +343,13 @@ def test_eberleinize_command(capsys, inputs):
     assert code == 0
     assert payload["ground"] == ["0", "1", "2"]
     assert {"0": "1/1"} in payload["weighted"]
+
+
+def test_eberleinize_without_strata_weighs_a_plain_family_by_one(capsys, inputs):
+    fam = tree_segments(dyadic_tree(1))
+    code, payload = run(capsys, ["eberleinize", "--family", inputs["family.json"]])
+    assert code == 0
+    assert payload["weighted"] == [{a: "1/1" for a in m} for m in fam.members]
 
 
 def test_eberleinize_strata_on_a_wide_digit_grid(capsys, tmp_path):
@@ -381,6 +396,15 @@ def test_saturate_command(capsys, inputs):
     assert code == 0
     assert payload["gamma_blocks"] == [["g1", "g2"], ["g3"]]
     assert payload["delta_blocks"] == [["d1"], ["d2"]]
+
+
+def test_saturate_supports_without_gamma_atoms_exits_2(capsys, tmp_path):
+    path = tmp_path / "supports.json"
+    path.write_text(canonical_json({"d1": []}))
+    code, payload = run(capsys, ["saturate", "--supports", str(path)])
+    assert code == 2
+    assert payload["error"]["code"] == "input-format"
+    assert payload["error"]["message"] == "supports file names no gamma atoms"
 
 
 def test_env_budget_override(capsys, inputs, monkeypatch):

@@ -169,7 +169,8 @@ def test_segments_are_chains(depth, data):
 
 def _reference_tree(parent, forest=False):
     """The FiniteTree constructor before its bulk checks: a per-node cycle
-    walk and a sort of every child list. Returns (parent, roots, children)."""
+    walk and a sort of every child list, and the old per-node ``depth()``
+    walk. Returns (parent, roots, children, depth)."""
     nodes = tuple(parent)
     node_set = set(nodes)
     if len(node_set) != len(nodes):
@@ -198,7 +199,19 @@ def _reference_tree(parent, forest=False):
                 raise ValueError("parent map contains a cycle")
             cur = parent[cur]
         seen_ok.update(chain)
-    return dict(parent), tuple(sorted(roots)), {n: tuple(sorted(c)) for n, c in children.items()}
+    depths: dict = {}
+    for node in nodes:
+        stack = []
+        cur = node
+        while cur is not None and cur not in depths:
+            stack.append(cur)
+            cur = parent[cur]
+        base = -1 if cur is None else depths[cur]
+        for n in reversed(stack):
+            base += 1
+            depths[n] = base
+    children = {n: tuple(sorted(c)) for n, c in children.items()}
+    return dict(parent), tuple(sorted(roots)), children, max(depths.values())
 
 
 @st.composite
@@ -225,5 +238,5 @@ def test_finite_tree_matches_reference(parent, forest):
         assert (type(got.value), str(got.value)) == (type(exc), str(exc))
         return
     tree = FiniteTree(parent, forest=forest)
-    assert (tree.parent, tree.roots, {n: tree.children(n) for n in tree.nodes}) == expected
+    assert (tree.parent, tree.roots, {n: tree.children(n) for n in tree.nodes}, tree.depth()) == expected
     assert tree.nodes == tuple(parent)

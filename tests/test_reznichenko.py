@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import functools
 import itertools
 import random
 
@@ -595,6 +597,61 @@ def test_partition_search_witnesses_replay(seed, threshold):
     assert len(hits) >= threshold
     assert tuple(sorted(hits)) == w.intersection
     assert _is_segment_of(sys.trees[w.tree], w.member)
+
+
+@functools.lru_cache(maxsize=None)
+def _cached_system(n_trees, stages, label_pool, rng_seed):
+    return build(ReznParams(n_trees, stages, label_pool, rng_seed))
+
+
+def _first_segment(sys, d_of, g_of, threshold):
+    """Brute-force reference for ``partition_search``: every (tree, bottom
+    node, length) in the documented order, each segment counted afresh."""
+    for n in sorted(sys.trees):
+        tree = sys.trees[n]
+        for w in sorted(tree.nodes):
+            chain = tree.ancestors(w)
+            for length in range(1, len(chain) + 1):
+                seg = chain[:length]
+                if g_of is not None and len({g_of[a] for a in seg}) < length:
+                    continue
+                counts = collections.Counter(d_of[a] for a in seg)
+                hits = [d for d, c in counts.items() if c >= threshold]
+                if hits:
+                    (block,) = hits
+                    return reznichenko.PartitionWitness(
+                        member=tuple(sorted(seg)),
+                        tree=n,
+                        block=block,
+                        intersection=tuple(sorted(a for a in seg if d_of[a] == block)),
+                        per_block_counts=dict(sorted(counts.items())),
+                    )
+    return None
+
+
+# In the last two shapes, names such as "10:0" and "2:0" make a tree's node
+# order differ from canonical atom order.
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(st.sampled_from([(2, 3, 4), (2, 4, 6), (3, 4, 5), (3, 4, 11), (2, 12, 4)]), st.integers(0, 3)),
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.one_of(st.none(), st.integers(1, 12)),
+    st.randoms(use_true_random=False),
+)
+def test_partition_search_returns_the_first_segment(shape, threshold, d_blocks, g_blocks, rnd):
+    sys = _cached_system(*shape[0], shape[1])
+    atoms = list(sys.gamma.elements)
+
+    def partition(k):
+        label = {a: rnd.randrange(k) for a in atoms}
+        parts = [[a for a in atoms if label[a] == i] for i in sorted(set(label.values()))]
+        return parts, {a: i for i, block in enumerate(parts) for a in block}
+
+    d_parts, d_of = partition(d_blocks)
+    g_parts, g_of = partition(g_blocks) if g_blocks is not None else (None, None)
+    witness = partition_search(sys, d_parts, g_parts, threshold=threshold)
+    assert witness == _first_segment(sys, d_of, g_of, threshold)
 
 
 ENUM_BUDGETS = [1, 5, 50, Budgets.enum_budget]
