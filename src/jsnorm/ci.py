@@ -118,7 +118,7 @@ class _Masks:
         the order. The table solves each overlap component of the members
         inside ``target``; a search that adds more than ``state_budget`` new
         table entries raises ``ResourceLimitError``, and a repeated target
-        costs nothing.
+        adds no entries.
         """
         picked = self.table.pack(target, state_budget)
         return tuple(self._by_size[i] for i in picked), sum(self.table.masks[i] for i in picked)

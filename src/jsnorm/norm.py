@@ -29,7 +29,7 @@ from .errors import (
     InvalidComboError,
     InvalidEpsilonError,
 )
-from .packing import pack, pack_first
+from .packing import pack
 
 DEFAULT_PRECISION = 50
 
@@ -102,26 +102,27 @@ def _min_per_trace(members: list[Member], fmasks: list[int], tmasks: list[int]) 
     return keep
 
 
-def _has_cross_conflicts(fmasks: Sequence[int], tmasks: Sequence[int], k: int) -> bool:
-    """True when some pair overlaps outside the support but not on it.
+def _overlap_masks(fmasks: Sequence[int], tmasks: Sequence[int], k: int) -> list[int]:
+    """Each candidate's trace mask plus the atoms above the k support bits
+    that two trace-disjoint candidates share.
 
-    Such a pair shares an atom above the k support bits, so only candidates
-    sharing one of those atoms are compared.
+    Two of these masks overlap exactly when the full masks do: candidates
+    that meet on the support overlap on their traces, and any other pair
+    meets on a kept atom. An outside atom held only by candidates whose
+    traces overlap is dropped, so it adds no DP states.
     """
     sharing: dict[int, list[int]] = {}
     for i, fm in enumerate(fmasks):
-        rest = fm >> k
+        rest = fm >> k << k
         while rest:
             low = rest & -rest
             sharing.setdefault(low, []).append(i)
             rest ^= low
-    for idxs in sharing.values():
-        for x, i in enumerate(idxs):
-            ti = tmasks[i]
-            for j in idxs[x + 1 :]:
-                if not ti & tmasks[j]:
-                    return True
-    return False
+    shared = 0
+    for atom, idxs in sharing.items():
+        if any(not tmasks[i] & tmasks[j] for x, i in enumerate(idxs) for j in idxs[x + 1 :]):
+            shared |= atom
+    return [tm | fm & shared for fm, tm in zip(fmasks, tmasks)]
 
 
 def norm_oracle(
@@ -133,10 +134,10 @@ def norm_oracle(
 
     Members not meeting supp φ contribute nothing and are dropped up front;
     among members with equal trace only inclusion-minimal ones can matter.
-    When no pair overlaps outside the support (always true for the minimal
-    representatives of tree segments), packing feasibility depends on traces
-    alone and a subset DP over support atoms is exact; otherwise the same DP
-    runs on full member masks, with the first optimum in index order. Either
+    One subset DP runs over the support atoms plus the outside atoms that
+    two trace-disjoint candidates share (none for the minimal
+    representatives of tree segments), so its masks overlap exactly when
+    the members do. The witness is the first optimum in member order; the
     DP raises ``ResourceLimitError`` past ``state_budget`` states.
     """
     if not family.ground.covers(phi.support):
@@ -182,12 +183,7 @@ def norm_oracle(
     tmasks = [cand_tmasks[i] for i in keep]
 
     squares = [v * v for v in values]
-    if _has_cross_conflicts(fmasks, tmasks, k):
-        best, idx = pack_first(fmasks, squares, state_budget)
-        witness = sort_members(members[i] for i in idx)
-        return NormResult(Fraction(best, denom * denom), witness, "oracle")
-
-    total, picked = pack(tmasks, squares, state_budget)
+    total, picked = pack(_overlap_masks(fmasks, tmasks, k), squares, state_budget)
     witness = sort_members(members[i] for i in picked)
     return NormResult(Fraction(total, denom * denom), witness, "oracle")
 
@@ -282,7 +278,7 @@ def norm_weighted(
             mask |= bit[a]
         cand_masks.append(mask)
 
-    best, idx = pack_first(cand_masks, [v * v for v in cand_values], state_budget)
+    best, idx = pack(cand_masks, [v * v for v in cand_values], state_budget)
     return NormResult(Fraction(best, denom * denom), tuple(cands[i] for i in idx), "oracle")
 
 
@@ -327,11 +323,11 @@ def greedy_extract(
     family: SetFamily,
     phis: Sequence[FinVector],
     epsilon: Fraction | int | str,
-    fraction: Fraction = Fraction(1, 2),
     state_budget: int = Budgets.state_budget,
     trusted: bool = False,
 ) -> GreedyCertificate:
-    """Iteratively pick disjoint members acting above ε on most survivors.
+    """Iteratively pick disjoint members acting above ε on at least half of
+    the survivors.
 
     Each pick keeps only the indices it certifies, so after k picks every
     survivor has squared norm above ε²k; that caps the number of rounds at
@@ -341,8 +337,6 @@ def greedy_extract(
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise InvalidEpsilonError("epsilon must be positive")
-    if not 0 < fraction <= 1:
-        raise InvalidEpsilonError("fraction must lie in (0, 1]")
     if not trusted:
         for i, phi in enumerate(phis):
             if norm_oracle(family, phi, state_budget=state_budget).norm_sq > 1:
@@ -356,7 +350,7 @@ def greedy_extract(
     chosen: list[Member] = []
     used: set[str] = set()
     while len(chosen) < k_bound and surviving:
-        threshold = max(1, math.ceil(fraction * len(surviving)))
+        threshold = (len(surviving) + 1) // 2  # at least half, and at least one
         found = None
         for m in family.members:
             if used.intersection(m):

@@ -7,8 +7,10 @@ both as a packing weighted by popcount. A ``PackingTable`` splits the
 candidates inside a mask into overlap components, solves the atoms of each
 by a subset DP and keeps every solved state, so the work depends on the
 masks, not on how the weights rank them, and a state already in the table
-costs nothing. That work is bounded here and nowhere else: one search may
-add at most ``state_budget`` new table entries.
+costs nothing. Weights go through ``TieWeights``, so every packing keeps
+the first optimal index set in candidate index order. The work is bounded
+here and nowhere else: one search may add at most ``state_budget`` new
+table entries.
 """
 
 from __future__ import annotations
@@ -76,8 +78,7 @@ class PackingTable:
     States are nonzero masks of still-free atoms; each state either skips
     its lowest atom or covers it with a candidate inside it. ``best`` and
     ``choice`` hold every state solved so far, so searches of overlapping
-    masks share their work, and ``components`` the overlap components of
-    every mask packed. Masks must be nonzero.
+    masks share their work. Masks must be nonzero.
     """
 
     def __init__(self, masks: Sequence[int], weights: Sequence[int]):
@@ -88,7 +89,6 @@ class PackingTable:
             self.by_low.setdefault(m & -m, []).append(j)
         self.best: dict[int, int] = {0: 0}
         self.choice: dict[int, int] = {}
-        self.components: dict[int, list[int]] = {}
 
     def solve(self, frees: Sequence[int], budget: int = Budgets.state_budget) -> int:
         """Solve the masks ``frees`` and every state they reach that is not yet held.
@@ -143,17 +143,13 @@ class PackingTable:
     def pack(self, free: int, budget: int = Budgets.state_budget) -> list[int]:
         """The candidates of the optimum inside ``free``, ascending.
 
-        The first time, the candidates inside ``free`` are split into
-        overlap components and one search solves each component's atom
-        mask, so components that interleave in atom order do not multiply
-        each other's states. The components are kept, so packing ``free``
-        again only walks their choices.
+        The candidates inside ``free`` are split into overlap components and
+        one search solves each component's atom mask, so components that
+        interleave in atom order do not multiply each other's states.
+        Packing ``free`` again adds no entries.
         """
-        comps = self.components.get(free)
-        if comps is None:
-            comps = _components([m for m in self.masks if m & free == m])
-            self.solve(comps, budget)
-            self.components[free] = comps
+        comps = _components([m for m in self.masks if m & free == m])
+        self.solve(comps, budget)
         return sorted(j for atoms in comps for j in self.picks(atoms))
 
 
@@ -162,24 +158,15 @@ def pack(
 ) -> tuple[int, list[int]]:
     """Max Σ weights[i] over index sets whose masks are pairwise disjoint.
 
-    Masks must be nonzero. One table search solves each overlap component's
-    atom mask, and ties resolve in its scan order. Returns the total and the
-    picked indices in ascending order. Raises ``ResourceLimitError`` once the
-    states of all components together pass ``state_budget``.
+    Masks must be nonzero and weights positive. ``TieWeights`` makes the
+    optimum unique: of the optimal index sets, the first in index order.
+    One table search solves each overlap component's atom mask. Returns the
+    total and the picked indices in ascending order. Raises
+    ``ResourceLimitError`` once the states of all components together pass
+    ``state_budget``.
     """
     free = 0
     for m in masks:
         free |= m
-    picked = PackingTable(masks, weights).pack(free, state_budget)
+    picked = PackingTable(masks, TieWeights(weights)).pack(free, state_budget)
     return sum(weights[j] for j in picked), picked
-
-
-def pack_first(
-    masks: Sequence[int], weights: Sequence[int], state_budget: int = Budgets.state_budget
-) -> tuple[int, list[int]]:
-    """``pack`` where ties go to the first optimal index set in index order.
-
-    Weights must be positive; ``TieWeights`` breaks the ties.
-    """
-    total, picked = pack(masks, TieWeights(weights), state_budget)
-    return total >> len(masks), picked

@@ -423,7 +423,7 @@ def levels_partition(sys: ReznSystem, phi: Sequence[int]) -> Member:
         )
     atoms: set[str] = set()
     for i, k in enumerate(phi, start=1):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise IndexOutOfRangeError(f"level {k!r} is not a natural number")
         levels = sys.level_map(i)
         picked = [v for v, lv in levels.items() if lv == k]

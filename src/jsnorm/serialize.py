@@ -17,8 +17,7 @@ from .core import FinVector, FiniteTree, GroundSet, Member, SetFamily, WeightedS
 from .errors import InputFormatError
 
 
-def format_fraction(value: Fraction) -> str:
-    value = Fraction(value)
+def format_fraction(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 

@@ -38,10 +38,10 @@ class SeqGrid:
     __slots__ = ("branching", "length", "elements", "_digits")
 
     def __init__(self, branching: int, length: int, grid_budget: int = Budgets.grid_budget):
-        if branching < 2:
-            raise InputFormatError("grid branching must be at least 2")
-        if length < 1:
-            raise InputFormatError("grid length must be at least 1")
+        if type(branching) is not int or branching < 2:
+            raise InputFormatError(f"grid branching must be an integer of at least 2, got {branching!r}")
+        if type(length) is not int or length < 1:
+            raise InputFormatError(f"grid length must be an integer of at least 1, got {length!r}")
         if branching**length > grid_budget:
             raise ResourceLimitError(
                 f"grid size {branching}^{length} exceeds budget {grid_budget}"
@@ -133,8 +133,8 @@ def admissible_family(
     The family size is computed in closed form first so oversized requests
     fail before any enumeration.
     """
-    if max_size < 1:
-        raise InputFormatError("max_size must be at least 1")
+    if type(max_size) is not int or max_size < 1:
+        raise InputFormatError(f"max_size must be an integer of at least 1, got {max_size!r}")
     b, l = grid.branching, grid.length
     predicted = _admissible_count(b, l, max_size)
     if predicted > family_budget:

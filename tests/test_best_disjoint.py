@@ -1,13 +1,13 @@
-"""The packing kernel behind norm_weighted and branch and bound, against the
-include-first search it replaced."""
+"""The packing kernel behind the norms, against the include-first search it
+replaced: every packing keeps the first optimum in candidate index order."""
 
 import math
 import random
 from fractions import Fraction
 
-from jsnorm.core import FinVector, SetFamily
+from jsnorm.core import FiniteTree, FinVector, SetFamily, sort_members, tree_segments
 from jsnorm.norm import norm_oracle, norm_weighted, weighted_eval
-from jsnorm.packing import pack_first
+from jsnorm.packing import pack
 from jsnorm.talagrand import SeqGrid, admissible_family, eberleinize
 
 
@@ -61,7 +61,7 @@ def _include_first_dfs(masks, values):
 
 def _best_disjoint(masks, values):
     """Max Σ values[i]² over disjoint masks, first optimum in index order."""
-    return pack_first(masks, [v * v for v in values])
+    return pack(masks, [v * v for v in values])
 
 
 def _eberleinized(branching, length, max_size):
@@ -112,7 +112,7 @@ def test_norm_weighted_matches_include_first_search():
         assert res.witness == tuple(cands[i] for i in idx)
 
 
-def test_branch_and_bound_path_matches_include_first_search():
+def test_admissible_norm_matches_include_first_search():
     # Admissible sets of size 2-3 without singletons clash off the support.
     grid = SeqGrid(3, 2)
     family, _ = admissible_family(grid, 3)
@@ -129,6 +129,46 @@ def test_branch_and_bound_path_matches_include_first_search():
         masks = [sum(bit[a] for a in m) for m in pairs]
         best, _ = _include_first_dfs(masks, values)
         assert norm_oracle(SetFamily(family.ground, pairs), phi).norm_sq == best
+
+
+def _first_optimum(family, phi):
+    """``norm_oracle``'s value and witness by the include-first search on full
+    member masks, over its reduced candidates in member order: the members
+    with a nonzero sum, inclusion-minimal among those with the same trace."""
+    value = {m: sum(phi.entries.get(a, 0) for a in m) for m in family.members}
+    cands = [m for m in family.members if value[m]]
+    trace = {m: frozenset(m) & phi.entries.keys() for m in cands}
+    reduced = [m for m in cands if not any(trace[o] == trace[m] and set(o) < set(m) for o in cands)]
+    bit = {a: 1 << i for i, a in enumerate(family.ground.elements)}
+    masks = [sum(bit[a] for a in m) for m in reduced]
+    best, idx = _include_first_dfs(masks, [int(value[m]) for m in reduced])
+    return best, sort_members(reduced[i] for i in idx)
+
+
+def _tie_cases(count=400, seed=12):
+    """Small segment and admissible families, whole or thinned, with vectors
+    of small integers, so that ties between packings are common."""
+    rnd = random.Random(seed)
+    grid = SeqGrid(3, 2)
+    admissible, _ = admissible_family(grid, 3)
+    for i in range(count):
+        if i % 2:
+            family = admissible
+        else:
+            names = [f"t{j}" for j in range(rnd.randint(3, 7))]
+            family = tree_segments(FiniteTree({n: (rnd.choice(names[:j]) if j else None) for j, n in enumerate(names)}))
+        ground, members = family.ground, list(family.members)
+        if rnd.random() < 0.75:
+            members = [m for m in members if rnd.random() < 0.5] or members[:1]
+        atoms = rnd.sample(ground.elements, rnd.randint(2, min(6, len(ground.elements))))
+        yield SetFamily(ground, members), FinVector(ground, {a: rnd.choice([-2, -1, 1, 2]) for a in atoms})
+
+
+def test_norm_witness_is_the_first_optimum_in_member_order():
+    for family, phi in _tie_cases():
+        best, witness = _first_optimum(family, phi)
+        res = norm_oracle(family, phi)
+        assert (res.norm_sq, res.witness) == (best, witness)
 
 
 def test_668_set_weighted_family_is_quick_and_exact():

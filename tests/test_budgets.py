@@ -8,7 +8,7 @@ import jsnorm
 from jsnorm import Budgets, InputFormatError, admissible_family, build, check_ci, disjointify, norm_oracle
 from jsnorm.ci import check_condition_b, check_condition_c
 from jsnorm.norm import greedy_extract, norm_weighted
-from jsnorm.packing import pack, pack_first
+from jsnorm.packing import pack
 from jsnorm.talagrand import SeqGrid
 
 
@@ -47,7 +47,6 @@ def test_library_defaults_come_from_the_table():
         check_ci,
         disjointify,
         pack,
-        pack_first,
         admissible_family,
         build,
         SeqGrid,

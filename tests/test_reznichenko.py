@@ -434,6 +434,13 @@ def test_levels_partition_goldens():
         levels_partition(sys, (99,))
 
 
+@pytest.mark.parametrize("level", [True, False])
+def test_levels_partition_rejects_non_integer_level(level):
+    # A bool is an int subclass, so an isinstance check read True as level 1.
+    with pytest.raises(IndexOutOfRangeError, match="is not a natural number"):
+        levels_partition(small_system(), [level])
+
+
 def test_levels_meet_segments_sparsely():
     sys = small_system()
     fam = segment_family(sys)

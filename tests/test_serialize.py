@@ -30,6 +30,7 @@ from jsnorm.serialize import (
 def test_format_fraction_always_shows_denominator():
     assert format_fraction(Fraction(5)) == "5/1"
     assert format_fraction(Fraction(-2, 3)) == "-2/3"
+    assert format_fraction(-7) == "-7/1"
 
 
 def test_parse_fraction():

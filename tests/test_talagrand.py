@@ -8,6 +8,7 @@ from jsnorm.core import GroundSet, SetFamily, canonical_member
 from jsnorm.errors import (
     EmptySupportError,
     GroundMismatchError,
+    InputFormatError,
     InvalidPartitionError,
     MissingStratumError,
     ResourceLimitError,
@@ -33,6 +34,12 @@ def test_seqgrid_elements():
     wide = SeqGrid(12, 1)
     assert wide.elements[:3] == ("00", "01", "02")
     assert wide.digits("11") == (11,)
+
+
+@pytest.mark.parametrize("branching, length", [(3.0, 2), (2.5, 2), ("3", 2), (3, 2.0), (3, True)])
+def test_seqgrid_rejects_non_integer_shape(branching, length):
+    with pytest.raises(InputFormatError, match="must be an integer"):
+        SeqGrid(branching, length)
 
 
 def test_seqgrid_budget():
@@ -109,6 +116,12 @@ def test_admissible_family_budget():
     g = SeqGrid(4, 3)
     with pytest.raises(ResourceLimitError):
         admissible_family(g, max_size=4, family_budget=100)
+
+
+@pytest.mark.parametrize("max_size", [True, 2.5, 2.0, "2", None])
+def test_admissible_family_rejects_non_integer_max_size(max_size):
+    with pytest.raises(InputFormatError, match="max_size must be an integer"):
+        admissible_family(SeqGrid(3, 2), max_size)
 
 
 def test_validate_partition():
