@@ -19,15 +19,16 @@ from typing import Optional
 from . import ci, norm, reznichenko, talagrand
 from .budgets import Budgets
 from .core import GroundSet
-from .errors import InputFormatError, JsnormError, ResourceLimitError
+from .errors import InputFormatError, JsnormError
 from .serialize import (
     canonical_json,
     envelope_from_dict,
     family_from_dict,
     format_fraction,
+    load_json,
     members_from_dict,
     partition_from_dict,
-    read,
+    nogc,
     strata_from_dict,
     supports_from_dict,
     tree_from_dict,
@@ -46,7 +47,7 @@ def _resolve_budgets() -> Budgets:
         return Budgets()
     try:
         overrides = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, an integer past the digit limit, deep nesting
         raise InputFormatError(f"{ENV_BUDGET_VAR} is not valid JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise InputFormatError(f"{ENV_BUDGET_VAR} must be a JSON object")
@@ -68,8 +69,8 @@ def _member_list(members) -> list[list[str]]:
 
 
 def _cmd_check_ci(args, budgets: Budgets) -> tuple[dict, int]:
-    family = read(args.family, family_from_dict)
-    envelope = None if args.envelope is None else read(args.envelope, envelope_from_dict)
+    family = family_from_dict(load_json(args.family))
+    envelope = None if args.envelope is None else envelope_from_dict(load_json(args.envelope))
     report = ci.check_ci(
         family,
         envelope,
@@ -87,12 +88,12 @@ def _cmd_norm(args, budgets: Budgets) -> tuple[dict, int]:
     if (args.family is None) == (args.tree is None):
         raise InputFormatError("norm needs exactly one of --family or --tree")
     if args.family is not None:
-        family = read(args.family, family_from_dict)
-        phi = read(args.vector, functools.partial(vector_from_dict, ground=family.ground))
+        family = family_from_dict(load_json(args.family))
+        phi = vector_from_dict(load_json(args.vector), family.ground)
         result = norm.norm_oracle(family, phi, state_budget=budgets.state_budget)
     else:
-        tree = read(args.tree, tree_from_dict)
-        phi = read(args.vector, functools.partial(vector_from_dict, ground=tree.ground_set()))
+        tree = tree_from_dict(load_json(args.tree))
+        phi = vector_from_dict(load_json(args.vector), tree.ground_set())
         result = norm.norm_tree_dp(tree, phi)
     payload = {
         "command": "norm",
@@ -106,8 +107,8 @@ def _cmd_norm(args, budgets: Budgets) -> tuple[dict, int]:
 
 def _cmd_norm_re(args, budgets: Budgets) -> tuple[dict, int]:
     precision = _precision(args)
-    sets, ground = read(args.weighted, weighted_family_from_dict)
-    phi = read(args.vector, functools.partial(vector_from_dict, ground=ground))
+    sets, ground = weighted_family_from_dict(load_json(args.weighted))
+    phi = vector_from_dict(load_json(args.vector), ground)
     result = norm.norm_weighted(sets, phi, state_budget=budgets.state_budget)
     payload = {
         "command": "norm-re",
@@ -120,8 +121,8 @@ def _cmd_norm_re(args, budgets: Budgets) -> tuple[dict, int]:
 
 
 def _cmd_disjointify(args, budgets: Budgets) -> tuple[dict, int]:
-    family = read(args.family, family_from_dict)
-    members = read(args.members, members_from_dict)
+    family = family_from_dict(load_json(args.family))
+    members = members_from_dict(load_json(args.members))
     result = ci.disjointify(family, members, state_budget=budgets.state_budget)
     return {"command": "disjointify", "parts": _member_list(result.parts)}, 0
 
@@ -156,19 +157,19 @@ def _system_from_dict(payload) -> reznichenko.ReznSystem:
 
 
 def _cmd_search_partition(args, budgets: Budgets) -> tuple[dict, int]:
-    sys_ = read(args.system, _system_from_dict)
-    blocks = read(args.partition, partition_from_dict)
+    sys_ = _system_from_dict(load_json(args.system))
+    blocks = partition_from_dict(load_json(args.partition))
     gamma_d = None
     if args.gamma_d is not None:
-        gamma_d = read(args.gamma_d, partition_from_dict)
+        gamma_d = partition_from_dict(load_json(args.gamma_d))
     witness = reznichenko.partition_search(sys_, blocks, gamma_d, threshold=args.threshold)
     return {"command": "search-partition", "witness": _witness_dict(witness)}, 0
 
 
 def _cmd_qe_search(args, budgets: Budgets) -> tuple[dict, int]:
-    family = read(args.family, family_from_dict)
-    gamma_d = read(args.gamma_d, partition_from_dict)
-    gamma_n = read(args.gamma_n, partition_from_dict)
+    family = family_from_dict(load_json(args.family))
+    gamma_d = partition_from_dict(load_json(args.gamma_d))
+    gamma_n = partition_from_dict(load_json(args.gamma_n))
     witness = talagrand.qe_partition_search(family, gamma_d, gamma_n, threshold=args.threshold)
     if witness is None:
         return {"command": "qe-search", "witness": None}, 0
@@ -225,9 +226,9 @@ def _grid_branching(atoms, width: int, length: int) -> Optional[int]:
 
 
 def _cmd_eberleinize(args, budgets: Budgets) -> tuple[dict, int]:
-    family = read(args.family, family_from_dict)
+    family = family_from_dict(load_json(args.family))
     if args.strata is not None:
-        strata = read(args.strata, strata_from_dict)
+        strata = strata_from_dict(load_json(args.strata))
     elif family.provenance == "admissible":
         strata = _grid_strata(family)
     else:
@@ -242,7 +243,7 @@ def _cmd_eberleinize(args, budgets: Budgets) -> tuple[dict, int]:
 
 
 def _cmd_saturate(args, budgets: Budgets) -> tuple[dict, int]:
-    supports, gamma_atoms = read(args.supports, supports_from_dict)
+    supports, gamma_atoms = supports_from_dict(load_json(args.supports))
     delta = GroundSet(sorted(supports))
     if gamma_atoms is None:
         atoms = sorted({g for atoms in supports.values() for g in atoms})
@@ -376,23 +377,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     command = args.command
     try:
         budgets = _resolve_budgets()
-        payload, code = HANDLERS[command](args, budgets)
-    except InputFormatError as exc:
-        payload, code = {
-            "command": command,
-            "error": {"code": exc.code, "message": str(exc)},
-        }, 2
-    except ResourceLimitError as exc:
-        payload, code = {
-            "command": command,
-            "error": {"code": exc.code, "message": str(exc)},
-        }, 3
+        with nogc():  # one pause per command: its decoded inputs are large and acyclic
+            payload, code = HANDLERS[command](args, budgets)
     except JsnormError as exc:
         error = {"code": exc.code, "message": str(exc)}
         pair = getattr(exc, "pair", None)
         if pair is not None:
             error["witness"] = {"s": list(pair[0]), "t": list(pair[1])}
-        payload, code = {"command": command, "error": error}, 1
+        payload, code = {"command": command, "error": error}, exc.exit_code
     except OSError as exc:
         payload, code = {
             "command": command,

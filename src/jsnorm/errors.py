@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 Every domain error carries a short machine-readable ``code`` so CLI reports
-can name the failing check without parsing messages.
+can name the failing check without parsing messages, and the CLI's
+``exit_code``: 2 for input format, 3 for budgets, 1 for the rest.
 """
 
 from __future__ import annotations
@@ -11,18 +12,21 @@ class JsnormError(Exception):
     """Base class for all package errors."""
 
     code = "error"
+    exit_code = 1
 
 
 class InputFormatError(JsnormError):
     """A file or payload does not match its documented schema."""
 
     code = "input-format"
+    exit_code = 2
 
 
 class ResourceLimitError(JsnormError):
     """A configured budget (atoms, members, pairs, nodes) was exceeded."""
 
     code = "resource-limit"
+    exit_code = 3
 
     def __init__(self, message: str, partial_report=None):
         super().__init__(message)

@@ -24,7 +24,7 @@ from .errors import (
     MissingStratumError,
     ResourceLimitError,
 )
-from .serialize import _check_atom_lists, nogc
+from .serialize import _check_atom_lists, _payload_errors, nogc
 from .talagrand import check_threshold, validate_partition
 
 SEGMENT_BUDGET = 200_000
@@ -529,7 +529,7 @@ def system_from_dict(payload: dict) -> ReznSystem:
     bulk and built from ``payload``'s lists when first read, so they must not
     change before; a failed check builds it at once to name the first fault."""
     with nogc():
-        try:
+        with _payload_errors("malformed system payload"):
             params = ReznParams(
                 n_trees=payload["params"]["n_trees"],
                 stages=payload["params"]["stages"],
@@ -559,8 +559,6 @@ def system_from_dict(payload: dict) -> ReznSystem:
             unions = sum(map(len, itertools.starmap(set().union, seg_lists)))
             disjoint = unions == sum(map(len, itertools.chain.from_iterable(seg_lists)))
             log = _DecodedLog(stage_log) if counts_match and disjoint else _stage_records(stage_log)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputFormatError(f"malformed system payload: {exc}") from exc
         gamma = GroundSet(
             node_name(s, t) for s in range(params.stages) for t in range(params.label_pool)
         )

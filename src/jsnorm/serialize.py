@@ -7,18 +7,22 @@ by key with fixed separators so equal inputs yield byte-identical files.
 from __future__ import annotations
 
 import contextlib
+import decimal
 import gc
 import itertools
 import json
 from fractions import Fraction
-from typing import Any, Callable, Iterator, Mapping, Optional
+from typing import Any, Iterator, Mapping, Optional
 
 from .core import FinVector, FiniteTree, GroundSet, Member, SetFamily, WeightedSet, canonical_member
 from .errors import InputFormatError
 
 
 def format_fraction(value: Fraction | int) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # past sys.get_int_max_str_digits(), which Decimal does not check
+        return f"{decimal.Decimal(value.numerator):f}/{decimal.Decimal(value.denominator):f}"
 
 
 def parse_fraction(text: Any) -> Fraction:
@@ -51,17 +55,22 @@ def _check_atom_lists(lists: Any, what: str) -> None:
         raise InputFormatError(f"bad {what}: atoms must be strings")
 
 
-def family_from_dict(payload: Mapping) -> SetFamily:
+@contextlib.contextmanager
+def _payload_errors(prefix: str) -> Iterator[None]:
+    """Report a payload that a decoder cannot read as ``InputFormatError``."""
     try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputFormatError(f"{prefix}: {exc}") from exc
+
+
+def family_from_dict(payload: Mapping) -> SetFamily:
+    with _payload_errors("bad family payload"):
         _check_atom_lists([payload["ground"]], "'ground'")
         ground = GroundSet(payload["ground"])
         members = payload["members"]
         _check_atom_lists(members, "'members'")
         return SetFamily(ground, members, provenance=payload.get("provenance", "explicit"))
-    except InputFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad family payload: {exc}") from exc
 
 
 def vector_to_dict(vector: FinVector) -> dict:
@@ -69,15 +78,11 @@ def vector_to_dict(vector: FinVector) -> dict:
 
 
 def vector_from_dict(payload: Mapping, ground: GroundSet) -> FinVector:
-    try:
+    with _payload_errors("bad vector payload"):
         entries = payload["entries"]
         if not isinstance(entries, Mapping):
             raise InputFormatError("'entries' must be an object")
         return FinVector(ground, {a: parse_fraction(v) for a, v in entries.items()})
-    except InputFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad vector payload: {exc}") from exc
 
 
 def tree_to_dict(tree: FiniteTree) -> dict:
@@ -88,7 +93,7 @@ def tree_to_dict(tree: FiniteTree) -> dict:
 
 
 def tree_from_dict(payload: Mapping) -> FiniteTree:
-    try:
+    with _payload_errors("bad tree payload"):
         parent = payload["parent"]
         if not isinstance(parent, Mapping):
             raise InputFormatError("'parent' must be an object")
@@ -96,10 +101,6 @@ def tree_from_dict(payload: Mapping) -> FiniteTree:
         if not isinstance(forest, bool):
             raise InputFormatError(f"'forest' must be true or false, got {forest!r}")
         return FiniteTree(parent, forest=forest)
-    except InputFormatError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"bad tree payload: {exc}") from exc
 
 
 def weighted_to_dict(wset: WeightedSet) -> dict:
@@ -107,7 +108,7 @@ def weighted_to_dict(wset: WeightedSet) -> dict:
 
 
 def weighted_family_from_dict(payload: Mapping) -> tuple[list[WeightedSet], GroundSet]:
-    try:
+    with _payload_errors("bad weighted family payload"):
         _check_atom_lists([payload["ground"]], "'ground'")
         ground = GroundSet(payload["ground"])
         sets = [
@@ -115,27 +116,19 @@ def weighted_family_from_dict(payload: Mapping) -> tuple[list[WeightedSet], Grou
             for w in payload["weighted"]
         ]
         return sets, ground
-    except InputFormatError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise InputFormatError(f"bad weighted family payload: {exc}") from exc
 
 
 def partition_from_dict(payload: Mapping) -> list[list[str]]:
-    try:
+    with _payload_errors("bad partition payload"):
         blocks = payload["blocks"]
         _check_atom_lists(blocks, "'blocks'")
         return blocks
-    except InputFormatError:
-        raise
-    except (KeyError, TypeError) as exc:
-        raise InputFormatError(f"bad partition payload: {exc}") from exc
 
 
 def supports_from_dict(payload: Mapping) -> tuple[dict[str, list[str]], Optional[list[str]]]:
     """Supports file: either a bare {delta: [gammas]} map or a
     {"gamma": [...], "supports": {...}} wrapper naming the full ground set."""
-    try:
+    with _payload_errors("bad supports payload"):
         if "supports" in payload:
             gamma = None
             if "gamma" in payload:
@@ -152,10 +145,6 @@ def supports_from_dict(payload: Mapping) -> tuple[dict[str, list[str]], Optional
             raise InputFormatError("supports must name at least one delta")
         _check_atom_lists(list(raw.values()), "supports")
         return {str(d): atoms for d, atoms in raw.items()}, gamma
-    except InputFormatError:
-        raise
-    except (KeyError, TypeError) as exc:
-        raise InputFormatError(f"bad supports payload: {exc}") from exc
 
 
 def _side_list(payload: Any, key: str, shape: str, pairs: bool = False) -> list:
@@ -210,14 +199,15 @@ def load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, an integer past the digit limit, deep nesting
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
 @contextlib.contextmanager
 def nogc() -> Iterator[None]:
-    """Pause the cyclic collector while large acyclic containers are built;
-    the state found is restored, also on error, and a nested use does nothing."""
+    """Pause the cyclic collector while large acyclic containers are built
+    (``cli.main`` runs each command inside one pause); the state found is
+    restored, also on error, and a nested use does nothing."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -226,9 +216,3 @@ def nogc() -> Iterator[None]:
         if enabled:
             gc.enable()
 
-
-def read(path: str, decode: Callable[[Any], Any]) -> Any:
-    """``decode(load_json(path))`` inside one collector pause, so the raw
-    payload is parsed, decoded and freed without a collection over it."""
-    with nogc():
-        return decode(load_json(path))

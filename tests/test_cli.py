@@ -1,9 +1,11 @@
+import gc
 import json
 
 import pytest
 
 from jsnorm import cli
 from jsnorm.core import FiniteTree, FinVector, dyadic_tree, tree_segments
+from jsnorm.errors import InputFormatError, JsnormError, ResourceLimitError
 from jsnorm.serialize import (
     canonical_json,
     family_to_dict,
@@ -11,6 +13,12 @@ from jsnorm.serialize import (
     vector_to_dict,
 )
 from jsnorm.talagrand import SeqGrid, admissible_family
+
+# JSON that json.load refuses although the grammar allows it: an integer of
+# 4,400 digits (past CPython's limit for int() of a string), and arrays
+# nested past the recursion limit
+LONG_INTEGER = "9" * 4400
+DEEP_NESTING = "[" * 5000 + "]" * 5000
 
 
 @pytest.fixture
@@ -544,6 +552,14 @@ def test_env_budget_malformed_json_exits_2(capsys, inputs, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", [LONG_INTEGER, DEEP_NESTING], ids=["long-integer", "deep-nesting"])
+def test_env_budget_unreadable_json_exits_2(capsys, inputs, monkeypatch, value):
+    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"state_budget": ' + value + "}")
+    code, payload = run(capsys, ["check-ci", "--family", inputs["family.json"]])
+    assert code == 2
+    assert payload["error"]["message"].startswith(f"{cli.ENV_BUDGET_VAR} is not valid JSON: ")
+
+
 def test_reports_are_byte_identical_across_reruns(tmp_path, inputs):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     argv = ["check-ci", "--family", inputs["family.json"]]
@@ -925,3 +941,118 @@ def test_saturate_empty_or_repeated_ground_exits_2(capsys, tmp_path, supports):
     code, payload = run(capsys, ["saturate", "--supports", str(path)])
     assert code == 2
     assert payload["error"]["code"] == "input-format"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_each_command_runs_under_one_collector_pause(capsys, tmp_path, inputs, monkeypatch, enabled):
+    overlap = tmp_path / "overlap.json"
+    overlap.write_text(canonical_json({"ground": ["a", "b", "c"], "members": [["a", "b"], ["b", "c"]]}))
+    pair = tmp_path / "pair.json"
+    pair.write_text(canonical_json({"members": [["a", "b"], ["b", "c"]]}))
+    seen = []
+
+    def recording(payload, _decode=cli.family_from_dict):
+        seen.append(gc.isenabled())
+        return _decode(payload)
+
+    monkeypatch.setattr(cli, "family_from_dict", recording)
+    runs = [
+        (["check-ci", "--family", inputs["family.json"]], None, 0),
+        (["disjointify", "--family", str(overlap), "--members", str(pair)], None, 1),
+        (["norm", "--family", inputs["family.json"], "--vector", inputs["bad-vector.json"]], None, 2),
+        (["check-ci", "--family", inputs["family.json"]], '{"trace_budget": 1}', 3),
+    ]
+    was = gc.isenabled()
+    try:
+        for argv, budget, expected in runs:
+            if budget is None:
+                monkeypatch.delenv(cli.ENV_BUDGET_VAR, raising=False)
+            else:
+                monkeypatch.setenv(cli.ENV_BUDGET_VAR, budget)
+            (gc.enable if enabled else gc.disable)()
+            code, _ = run(capsys, argv)
+            assert code == expected
+            assert gc.isenabled() is enabled  # the state found is restored on every exit
+            assert seen.pop() is False  # the handler decoded with the collector off
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def _error_classes(cls=JsnormError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("cls", sorted(set(_error_classes()), key=lambda c: c.__name__), ids=lambda c: c.__name__)
+def test_every_error_class_carries_its_documented_exit_code(capsys, inputs, monkeypatch, cls):
+    # README: 2 for input format, 3 for an exceeded budget, 1 for every other domain failure
+    expected = 3 if issubclass(cls, ResourceLimitError) else 2 if issubclass(cls, InputFormatError) else 1
+    assert cls.exit_code == expected
+
+    def raising(args, budgets):
+        raise cls("raised by the handler")
+
+    monkeypatch.setitem(cli.HANDLERS, "saturate", raising)
+    code, payload = run(capsys, ["saturate", "--supports", inputs["supports.json"]])
+    assert code == expected
+    assert payload["error"] == {"code": cls.code, "message": "raised by the handler"}
+
+
+FAMILY_TEXT = canonical_json(family_to_dict(tree_segments(dyadic_tree(1)))).rstrip()
+
+
+@pytest.mark.parametrize(
+    "option,data",
+    [
+        ("--family", (FAMILY_TEXT[:-1] + f',"extra":{LONG_INTEGER}}}').encode()),
+        ("--vector", f'{{"entries":{{"0:0":"1/1","1:0":{LONG_INTEGER}}}}}'.encode()),
+        ("--family", b"\xff"),
+        ("--family", (FAMILY_TEXT[:-1] + f',"extra":{DEEP_NESTING}}}').encode()),
+    ],
+    ids=["long-integer-in-family", "long-integer-in-vector", "not-utf8", "deep-nesting"],
+)
+def test_unreadable_input_file_exits_2_naming_it(capsys, tmp_path, inputs, option, data):
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    if option == "--family":
+        argv = ["check-ci", "--family", str(path)]
+    else:
+        argv = ["norm", "--family", inputs["family.json"], "--vector", str(path)]
+    code, payload = run(capsys, argv)
+    assert code == 2
+    assert payload["error"]["code"] == "input-format"
+    assert payload["error"]["message"].startswith(f"{path} is not valid JSON: ")
+
+
+def _decimal(n: int) -> str:
+    """``n`` >= 0 in decimal, from 1,000-digit chunks, so no one conversion
+    passes CPython's digit limit."""
+    chunks = []
+    while True:
+        n, low = divmod(n, 10**1000)
+        chunks.append(low)
+        if not n:
+            break
+    return str(chunks[-1]) + "".join(f"{c:01000d}" for c in reversed(chunks[:-1]))
+
+
+@pytest.mark.parametrize("command", ["norm --family", "norm --tree", "norm-re"])
+def test_norm_sq_past_the_digit_limit_is_printed_in_full(capsys, tmp_path, command):
+    # {a}, {a, b}, {b} with phi(a) = 1/S: norm_sq = 1/S^2, of 5,000 digits
+    sevens = "7" * 2500
+    files = {
+        "norm --family": {"ground": ["a", "b"], "members": [["a"], ["a", "b"], ["b"]]},
+        "norm --tree": {"parent": {"a": None, "b": "a"}},
+        "norm-re": {"ground": ["a", "b"], "weighted": [{"a": "1/1"}, {"b": "1/1"}]},
+    }
+    source = tmp_path / "source.json"
+    source.write_text(canonical_json(files[command]))
+    vector = tmp_path / "vector.json"
+    vector.write_text(canonical_json({"entries": {"a": "1/" + sevens}}))
+    option = {"norm --family": "--family", "norm --tree": "--tree", "norm-re": "--weighted"}[command]
+    code, payload = run(capsys, [command.split()[0], option, str(source), "--vector", str(vector)])
+    assert code == 0
+    denominator = _decimal(int(sevens) ** 2)
+    assert len(denominator) == 5000
+    assert payload["norm_sq"] == "1/" + denominator

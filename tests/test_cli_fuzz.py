@@ -136,3 +136,30 @@ def test_any_json_in_a_file_option_exits_with_a_report(files, command, option, b
         code = cli.main(argv)
     assert code in (0, 1, 2, 3)
     assert json.loads(out.getvalue())["command"] == command
+
+
+# Files that json.dump cannot write: the valid file with one more key holding
+# an integer literal past CPython's 4,300-digit limit or arrays nested past
+# the recursion limit, and the valid file behind a byte that is not UTF-8.
+RAW = {
+    "long-integer": lambda text: (text.rstrip()[:-1] + ',"extra":' + "9" * 4400 + "}").encode(),
+    "deep-nesting": lambda text: (text.rstrip()[:-1] + ',"extra":' + "[" * 5000 + "]" * 5000 + "}").encode(),
+    "not-utf8": lambda text: b"\xff" + text.encode(),
+}
+
+
+@pytest.mark.parametrize("raw", sorted(RAW))
+@pytest.mark.parametrize("command,option,base,others", CASES, ids=[f"{c}{o}" for c, o, _, _ in CASES])
+def test_unreadable_bytes_in_a_file_option_exit_2(files, command, option, base, others, raw):
+    with open(files["fuzz"], "wb") as fh:
+        fh.write(RAW[raw](canonical_json(files["payloads"][base])))
+    argv = [command, option, files["fuzz"]]
+    for flag, name in others.items():
+        argv += [flag, files[name]]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    assert code == 2
+    error = json.loads(out.getvalue())["error"]
+    assert error["code"] == "input-format"
+    assert error["message"].startswith(f"{files['fuzz']} is not valid JSON: ")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from jsnorm.core import FiniteTree, FinVector, GroundSet, SetFamily, WeightedSet
 from jsnorm.errors import InputFormatError
+from jsnorm.reznichenko import system_from_dict
 from jsnorm.serialize import (
     canonical_json,
     family_from_dict,
@@ -16,7 +17,6 @@ from jsnorm.serialize import (
     nogc,
     parse_fraction,
     partition_from_dict,
-    read,
     supports_from_dict,
     tree_from_dict,
     tree_to_dict,
@@ -31,6 +31,14 @@ def test_format_fraction_always_shows_denominator():
     assert format_fraction(Fraction(5)) == "5/1"
     assert format_fraction(Fraction(-2, 3)) == "-2/3"
     assert format_fraction(-7) == "-7/1"
+    # past CPython's 4,300-digit limit for str(int): checked against digits
+    # read off divmod by 10, which shares no code with the conversion
+    n = -(7**6000)
+    digits, rest = [], -n
+    while rest:
+        rest, d = divmod(rest, 10)
+        digits.append("0123456789"[d])
+    assert format_fraction(Fraction(n, 3)) == "-" + "".join(reversed(digits)) + "/3"
 
 
 def test_parse_fraction():
@@ -61,7 +69,7 @@ def test_family_round_trip():
 
 
 def test_family_from_dict_rejects_garbage():
-    with pytest.raises(InputFormatError):
+    with pytest.raises(InputFormatError, match=r"^bad family payload: 'ground'$"):
         family_from_dict({"members": [["a"]]})
     with pytest.raises(InputFormatError):
         family_from_dict({"ground": ["a"], "members": "nope"})
@@ -174,25 +182,27 @@ def test_nogc_restores_the_collector_it_found():
         (gc.enable if was else gc.disable)()
 
 
-def test_read_decodes_inside_one_pause(tmp_path):
-    path = tmp_path / "partition.json"
-    path.write_text(canonical_json({"blocks": [["a"], ["b"]]}))
-    was = gc.isenabled()
-    gc.enable()
-    try:
-        seen = []
-
-        def decode(payload):
-            seen.append(gc.isenabled())
-            return partition_from_dict(payload)
-
-        assert read(str(path), decode) == [["a"], ["b"]]
-        assert seen == [False] and gc.isenabled()
-        with pytest.raises(InputFormatError, match="bad family payload"):
-            read(str(path), family_from_dict)
-        assert gc.isenabled()
-        with pytest.raises(InputFormatError, match="cannot read"):
-            read(str(tmp_path / "missing.json"), decode)
-        assert gc.isenabled()
-    finally:
-        (gc.enable if was else gc.disable)()
+@pytest.mark.parametrize(
+    "decode,payload,message",
+    [
+        (family_from_dict, {"ground": ["a"]}, "bad family payload: 'members'"),
+        (lambda p: vector_from_dict(p, GroundSet(["a"])), {}, "bad vector payload: 'entries'"),
+        (tree_from_dict, {"forest": True}, "bad tree payload: 'parent'"),
+        (weighted_family_from_dict, {"ground": ["a"]}, "bad weighted family payload: 'weighted'"),
+        (partition_from_dict, {}, "bad partition payload: 'blocks'"),
+        # every key a supports file may hold is optional: a number is unreadable
+        (supports_from_dict, 5, "bad supports payload: argument of type 'int' is not iterable"),
+        (system_from_dict, {}, "malformed system payload: 'params'"),
+        # a weighted set that is not an object has no .items()
+        (
+            weighted_family_from_dict,
+            {"ground": ["a"], "weighted": [["a"]]},
+            "bad weighted family payload: 'list' object has no attribute 'items'",
+        ),
+    ],
+    ids=["family", "vector", "tree", "weighted", "partition", "supports", "system", "weighted-set-not-object"],
+)
+def test_each_decoder_names_its_payload_when_it_cannot_read_it(decode, payload, message):
+    with pytest.raises(InputFormatError) as info:
+        decode(payload)
+    assert str(info.value) == message
