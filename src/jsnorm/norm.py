@@ -1,9 +1,10 @@
 """Exact disjoint-packing norms over set families.
 
 The squared norm of a vector is the best value of Σ(Σ_{a∈sᵢ}φ(a))² over
-pairwise disjoint subfamilies. Everything is computed on rescaled integers,
-so results are exact rationals; square roots appear only at presentation
-time through ``decimal``.
+pairwise disjoint subfamilies, or of Σ⟨φ,gᵢ⟩² over weighted sets; both
+reduce and pack their candidates through ``_pack_candidates``. Everything
+is computed on rescaled integers, so results are exact rationals; square
+roots appear only at presentation time, correctly rounded, via ``decimal``.
 """
 
 from __future__ import annotations
@@ -35,15 +36,31 @@ DEFAULT_PRECISION = 50
 
 
 def sqrt_decimal(value: Fraction, precision: int = DEFAULT_PRECISION) -> decimal.Decimal:
-    """Deterministic decimal √value to ``precision`` significant digits."""
+    """√value to ``precision`` significant digits, correctly rounded half-even.
+
+    ``decimal`` rounds the quotient, the root and the result, so near a half
+    its result can be one unit in the last place off; it then steps to the
+    digits that ``math.isqrt`` decides exactly.
+    """
     if value < 0:
         raise ValueError("square root of a negative rational")
     if precision < 1:
         raise ValueError("precision must be positive")
+    num, den = value.numerator, value.denominator
     work = decimal.Context(prec=precision + 10)
-    quotient = work.divide(decimal.Decimal(value.numerator), decimal.Decimal(value.denominator))
-    root = work.sqrt(quotient)
-    return decimal.Context(prec=precision).plus(root)
+    context = decimal.Context(prec=precision)
+    root = context.plus(work.sqrt(work.divide(decimal.Decimal(num), decimal.Decimal(den))))
+    for e in (root.adjusted() - precision + 1, root.adjusted() - precision):
+        p, q = (num * 100**-e, den) if e < 0 else (num, den * 100**e)  # √value / 10^e = √(p / q)
+        low = math.isqrt(p // q)
+        if low >= 10 ** (precision - 1):
+            break
+    above_half = (2 * low + 1) ** 2 * q - 4 * p  # < 0 when √(p / q) > low + 1/2
+    exact = low + (above_half < 0 or above_half == 0 and low % 2)
+    digits = int(root.scaleb(-e, context))
+    if digits != exact:
+        root = context.next_plus(root) if digits < exact else context.next_minus(root)
+    return root
 
 
 @dataclass(frozen=True)
@@ -80,28 +97,6 @@ def _scale_to_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [int(v * denom) for v in values], denom
 
 
-def _min_per_trace(members: list[Member], fmasks: list[int], tmasks: list[int]) -> list[int]:
-    """Indices of inclusion-minimal members within each trace class.
-
-    Members with the same trace score identically, and a packing using a
-    superset can always swap in a subset, so only minimal ones are needed.
-    """
-    groups: dict[int, list[int]] = {}
-    for idx, tm in enumerate(tmasks):
-        groups.setdefault(tm, []).append(idx)
-    keep: list[int] = []
-    for idxs in groups.values():
-        idxs.sort(key=lambda i: (fmasks[i].bit_count(), members[i]))
-        kept: list[int] = []
-        for i in idxs:
-            fm = fmasks[i]
-            if not any(fmasks[j] | fm == fm for j in kept):
-                kept.append(i)
-        keep.extend(kept)
-    keep.sort()
-    return keep
-
-
 def _overlap_masks(fmasks: Sequence[int], tmasks: Sequence[int], k: int) -> list[int]:
     """Each candidate's trace mask plus the atoms above the k support bits
     that two trace-disjoint candidates share.
@@ -125,20 +120,52 @@ def _overlap_masks(fmasks: Sequence[int], tmasks: Sequence[int], k: int) -> list
     return [tm | fm & shared for fm, tm in zip(fmasks, tmasks)]
 
 
-def norm_oracle(
-    family: SetFamily,
-    phi: FinVector,
-    state_budget: int = Budgets.state_budget,
-) -> NormResult:
+def _pack_candidates(supp: Sequence[str], cands: Sequence[tuple], state_budget: int) -> tuple[int, list]:
+    """Max Σ value² over ``(item, atoms, value)`` candidates, value ≠ 0, with
+    pairwise disjoint atoms: the total and the picked items in candidate order.
+
+    Bits go to supp φ, then to outside atoms in candidate order. Candidate j
+    dominates i when both have the same trace, j's atoms lie inside i's and
+    |value_j| ≥ |value_i|, so swapping j in for i loses nothing. Dominated
+    candidates are dropped (of exact equals the first is kept), and the rest
+    are packed once on their overlap masks.
+    """
+    trace = (1 << len(supp)) - 1
+    bit: dict[str, int] = {a: 1 << i for i, a in enumerate(supp)}
+    fmasks: list[int] = []
+    magnitudes = [abs(v) for _, _, v in cands]
+    groups: dict[int, list[int]] = {}
+    for i, (_, atoms, _) in enumerate(cands):
+        fmask = 0
+        for a in atoms:
+            b = bit.get(a)
+            if b is None:
+                bit[a] = b = 1 << len(bit)
+            fmask |= b
+        fmasks.append(fmask)
+        groups.setdefault(fmask & trace, []).append(i)
+    keep: list[int] = []
+    for idxs in groups.values():
+        kept: list[int] = []  # a dominator sorts before what it dominates
+        for i in sorted(idxs, key=lambda i: (fmasks[i].bit_count(), -magnitudes[i])):
+            fm, magnitude = fmasks[i], magnitudes[i]
+            if not any(fmasks[j] | fm == fm and magnitudes[j] >= magnitude for j in kept):
+                kept.append(i)
+        keep.extend(kept)
+    keep.sort()
+    masks = _overlap_masks([fmasks[i] for i in keep], [fmasks[i] & trace for i in keep], len(supp))
+    total, picked = pack(masks, [magnitudes[i] ** 2 for i in keep], state_budget)
+    return total, [cands[keep[j]][0] for j in picked]
+
+
+def norm_oracle(family: SetFamily, phi: FinVector, state_budget: int = Budgets.state_budget) -> NormResult:
     """Exhaustive James-style norm over all pairwise disjoint subfamilies.
 
-    Members not meeting supp φ contribute nothing and are dropped up front;
-    among members with equal trace only inclusion-minimal ones can matter.
-    One subset DP runs over the support atoms plus the outside atoms that
-    two trace-disjoint candidates share (none for the minimal
-    representatives of tree segments), so its masks overlap exactly when
-    the members do. The witness is the first optimum in member order; the
-    DP raises ``ResourceLimitError`` past ``state_budget`` states.
+    The members meeting supp φ with a nonzero sum go through
+    ``_pack_candidates``; members of equal trace score equally, so only the
+    inclusion-minimal ones are packed. The witness is the first optimum in
+    member order over those; the DP raises ``ResourceLimitError`` past
+    ``state_budget`` states.
     """
     if not family.ground.covers(phi.support):
         raise GroundMismatchError("vector support is not contained in the family ground set")
@@ -148,44 +175,17 @@ def norm_oracle(
 
     scaled, denom = _scale_to_ints([phi.entries[a] for a in supp])
     weight = dict(zip(supp, scaled))
-    k = len(supp)
-    bit: dict[str, int] = {a: 1 << i for i, a in enumerate(supp)}
-
-    cand_members: list[Member] = []
-    cand_values: list[int] = []
-    cand_fmasks: list[int] = []
-    cand_tmasks: list[int] = []
+    cands: list[tuple[Member, Member, int]] = []
     for m in family.members:
         v = 0
-        tmask = 0
         for a in m:
             w = weight.get(a)
             if w is not None:
                 v += w
-                tmask |= bit[a]
-        if v == 0:
-            continue
-        fmask = tmask
-        for a in m:
-            b = bit.get(a)
-            if b is None:
-                bit[a] = b = 1 << len(bit)
-            fmask |= b
-        cand_members.append(m)
-        cand_values.append(v)
-        cand_fmasks.append(fmask)
-        cand_tmasks.append(tmask)
-
-    keep = _min_per_trace(cand_members, cand_fmasks, cand_tmasks)
-    members = [cand_members[i] for i in keep]
-    values = [cand_values[i] for i in keep]
-    fmasks = [cand_fmasks[i] for i in keep]
-    tmasks = [cand_tmasks[i] for i in keep]
-
-    squares = [v * v for v in values]
-    total, picked = pack(_overlap_masks(fmasks, tmasks, k), squares, state_budget)
-    witness = sort_members(members[i] for i in picked)
-    return NormResult(Fraction(total, denom * denom), witness, "oracle")
+        if v:
+            cands.append((m, m, v))
+    total, picked = _pack_candidates(supp, cands, state_budget)
+    return NormResult(Fraction(total, denom * denom), sort_members(picked), "oracle")
 
 
 def norm_tree_dp(tree: FiniteTree, phi: FinVector) -> NormResult:
@@ -252,34 +252,31 @@ def norm_tree_dp(tree: FiniteTree, phi: FinVector) -> NormResult:
 
 
 def norm_weighted(
-    familyE: Sequence[WeightedSet],
-    phi: FinVector,
-    state_budget: int = Budgets.state_budget,
+    familyE: Sequence[WeightedSet], phi: FinVector, state_budget: int = Budgets.state_budget
 ) -> NormResult:
-    """Max Σ⟨φ,gᵢ⟩² over subfamilies with pairwise disjoint supports; the DP
-    runs over the whole supports of the sets with ⟨φ,g⟩ ≠ 0."""
-    values = [weighted_eval(g, phi) for g in familyE]
-    scaled, denom = _scale_to_ints(values)
+    """Max Σ⟨φ,gᵢ⟩² over subfamilies with pairwise disjoint supports.
 
+    ⟨φ,g⟩ is summed over supp φ, and the sets with ⟨φ,g⟩ ≠ 0 are packed as
+    ``norm_oracle`` packs members, through ``_pack_candidates``. The witness
+    is the first optimum in set order over the undominated sets.
+    """
+    entries, supp = phi.entries, phi.support
     cands: list[WeightedSet] = []
-    cand_values: list[int] = []
-    for g, v in zip(familyE, scaled):
-        if v != 0:
+    values: list[Fraction] = []
+    for g in familyE:
+        if g.ground.elements != phi.ground.elements:
+            raise GroundMismatchError("weighted set and vector live on different ground sets")
+        v = 0
+        for a in supp:
+            w = g.weights.get(a)
+            if w is not None:
+                v += entries[a] * w
+        if v:
             cands.append(g)
-            cand_values.append(v)
-
-    bit: dict[str, int] = {}
-    cand_masks = []
-    for g in cands:
-        mask = 0
-        for a in g.support:
-            if a not in bit:
-                bit[a] = 1 << len(bit)
-            mask |= bit[a]
-        cand_masks.append(mask)
-
-    best, idx = pack(cand_masks, [v * v for v in cand_values], state_budget)
-    return NormResult(Fraction(best, denom * denom), tuple(cands[i] for i in idx), "oracle")
+            values.append(v)
+    scaled, denom = _scale_to_ints(values)
+    total, picked = _pack_candidates(supp, [(g, g.support, v) for g, v in zip(cands, scaled)], state_budget)
+    return NormResult(Fraction(total, denom * denom), tuple(picked), "oracle")
 
 
 @dataclass(frozen=True)

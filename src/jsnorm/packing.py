@@ -7,10 +7,10 @@ both as a packing weighted by popcount. A ``PackingTable`` splits the
 candidates inside a mask into overlap components, solves the atoms of each
 by a subset DP and keeps every solved state, so the work depends on the
 masks, not on how the weights rank them, and a state already in the table
-costs nothing. Weights go through ``TieWeights``, so every packing keeps
-the first optimal index set in candidate index order. The work is bounded
-here and nowhere else: one search may add at most ``state_budget`` new
-table entries.
+costs nothing. Weights are tied as ``TieWeights`` describes, so every
+packing keeps the first optimal index set in candidate index order. The
+work is bounded here and nowhere else: one search may add at most
+``state_budget`` new table entries.
 """
 
 from __future__ import annotations
@@ -158,15 +158,17 @@ def pack(
 ) -> tuple[int, list[int]]:
     """Max Σ weights[i] over index sets whose masks are pairwise disjoint.
 
-    Masks must be nonzero and weights positive. ``TieWeights`` makes the
-    optimum unique: of the optimal index sets, the first in index order.
-    One table search solves each overlap component's atom mask. Returns the
-    total and the picked indices in ascending order. Raises
-    ``ResourceLimitError`` once the states of all components together pass
-    ``state_budget``.
+    Masks must be nonzero and weights positive. Tied weights, as in
+    ``TieWeights`` but all made up front, make the optimum unique: of the
+    optimal index sets, the first in index order. One table search solves
+    each overlap component's atom mask. Returns the total and the picked
+    indices in ascending order. Raises ``ResourceLimitError`` once the
+    states of all components together pass ``state_budget``.
     """
     free = 0
     for m in masks:
         free |= m
-    picked = PackingTable(masks, TieWeights(weights)).pack(free, state_budget)
+    n = len(weights)
+    tied = [w << n | 1 << (n - 1 - i) for i, w in enumerate(weights)]
+    picked = PackingTable(masks, tied).pack(free, state_budget)
     return sum(weights[j] for j in picked), picked

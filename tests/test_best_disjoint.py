@@ -4,8 +4,12 @@ replaced: every packing keeps the first optimum in candidate index order."""
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from jsnorm.core import FiniteTree, FinVector, SetFamily, sort_members, tree_segments
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from jsnorm.core import FiniteTree, FinVector, GroundSet, SetFamily, WeightedSet, sort_members, tree_segments
 from jsnorm.norm import norm_oracle, norm_weighted, weighted_eval
 from jsnorm.packing import pack
 from jsnorm.talagrand import SeqGrid, admissible_family, eberleinize
@@ -94,6 +98,37 @@ def test_ties_keep_the_first_optimum_in_index_order():
         assert _include_first_dfs(masks, values) == (26, picked)
 
 
+def _undominated(supports, values, supp):
+    """Indices of the candidates that no other candidate dominates. j
+    dominates i when both have the same trace on ``supp``, j's support lies
+    inside i's and |value_j| >= |value_i|; of exact equals the earlier one
+    dominates."""
+    supp = set(supp)
+
+    def dominates(j, i):
+        a, b = set(supports[j]), set(supports[i])
+        if a & supp != b & supp or not a <= b or abs(values[j]) < abs(values[i]):
+            return False
+        return a != b or abs(values[j]) != abs(values[i]) or j < i
+
+    n = len(values)
+    return [i for i in range(n) if not any(dominates(j, i) for j in range(n) if j != i)]
+
+
+def _weighted_first_optimum(sets, phi):
+    """``norm_weighted``'s value and witness by the include-first search on
+    full support masks, over the sets with a nonzero value that no other
+    set dominates, in set order."""
+    cands = [g for g in sets if weighted_eval(g, phi) != 0]
+    values = [weighted_eval(g, phi) for g in cands]
+    keep = _undominated([g.support for g in cands], values, phi.support)
+    denom = math.lcm(1, *(values[i].denominator for i in keep))
+    bit = {a: 1 << i for i, a in enumerate(phi.ground.elements)}
+    masks = [sum(bit[a] for a in cands[i].support) for i in keep]
+    best, idx = _include_first_dfs(masks, [int(values[i] * denom) for i in keep])
+    return Fraction(best, denom * denom), tuple(cands[keep[i]] for i in idx)
+
+
 def test_norm_weighted_matches_include_first_search():
     grid, sets = _eberleinized(3, 2, 3)
     ground = grid.ground_set()
@@ -106,10 +141,61 @@ def test_norm_weighted_matches_include_first_search():
         denom = math.lcm(*(v.denominator for v in values))
         bit = {a: 1 << i for i, a in enumerate(grid.elements)}
         masks = [sum(bit[a] for a in g.support) for g in cands]
-        best, idx = _include_first_dfs(masks, [int(v * denom) for v in values])
+        best, _ = _include_first_dfs(masks, [int(v * denom) for v in values])
         res = norm_weighted(sets, phi)
         assert res.norm_sq == Fraction(best, denom * denom)
-        assert res.witness == tuple(cands[i] for i in idx)
+        assert (res.norm_sq, res.witness) == _weighted_first_optimum(sets, phi)
+
+
+@st.composite
+def _weighted_cases(draw):
+    """Up to 8 weighted sets over 6 atoms, drawn from at most 4 supports so
+    that supports repeat with different weights, and a vector of small
+    signed entries, so that values of zero, ties and dominations are common."""
+    ground = GroundSet(list("abcdef"))
+    pool = draw(st.lists(st.sets(st.sampled_from(ground.elements), min_size=1, max_size=4), min_size=1, max_size=4))
+    weight = st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)])
+    sets = []
+    for support in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)):
+        sets.append(WeightedSet(ground, {a: draw(weight) for a in sorted(support)}))
+    entries = draw(st.dictionaries(st.sampled_from(ground.elements), st.sampled_from([-2, -1, 1, 2]), max_size=6))
+    return sets, FinVector(ground, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_weighted_cases())
+def test_norm_weighted_matches_exhaustive_packing(case):
+    sets, phi = case
+    best = 0
+    for r in range(len(sets) + 1):
+        for picked in combinations(sets, r):
+            supports = [set(g.support) for g in picked]
+            if sum(map(len, supports)) == len(set().union(*supports)):
+                best = max(best, sum(weighted_eval(g, phi) ** 2 for g in picked))
+    res = norm_weighted(sets, phi)
+    assert res.norm_sq == best
+    assert (res.norm_sq, res.witness) == _weighted_first_optimum(sets, phi)
+
+
+def test_norm_weighted_on_the_eberleinized_3x3_grid():
+    # The 1,197 admissible sets of SeqGrid(3, 3), each weighted 1/n on its
+    # stratum n. Each set is dominated by its trace, so the DP runs over the
+    # support alone; over the full supports it would pass the default state
+    # budget from 4 support atoms on. The include-first reference takes
+    # seconds up to 12 atoms, and far longer at 16.
+    grid, sets = _eberleinized(3, 3, 3)
+    assert len(sets) == 1197
+    rnd = random.Random(33)
+    for k in (4, 6, 9, 12, 16):
+        atoms = rnd.sample(grid.elements, k)
+        phi = FinVector(grid.ground_set(), {a: rnd.choice([-2, -1, 1, Fraction(1, 2), 3]) for a in atoms})
+        res = norm_weighted(sets, phi)
+        if k <= 12:
+            assert (res.norm_sq, res.witness) == _weighted_first_optimum(sets, phi)
+        supports = [set(g.support) for g in res.witness]
+        assert sum(map(len, supports)) == len(set().union(*supports))
+        assert res.norm_sq == sum(weighted_eval(g, phi) ** 2 for g in res.witness)
+        assert res.norm_sq >= max(weighted_eval(g, phi) ** 2 for g in sets)
 
 
 def test_admissible_norm_matches_include_first_search():

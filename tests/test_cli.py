@@ -496,18 +496,22 @@ def test_norm_of_a_20_atom_support_counts_states(capsys, tmp_path, monkeypatch):
 
 
 def test_norm_re_counts_states_outside_the_support(capsys, tmp_path, monkeypatch):
-    # |supp phi| = 1, but the DP runs over the 20 atoms of the one weighted
-    # set that meets it: 20 states, a chain peeled from its first atom.
-    atoms = ["a"] + [f"x{i:02d}" for i in range(1, 20)]
+    # |supp phi| = 2, but the sets {a, x01..x19} and {b, x01..x19} have the
+    # disjoint traces {a} and {b} and share x01..x19, so those 19 outside
+    # atoms stay in the DP: from all 21 atoms, covering a leaves {b}, skipping
+    # a leaves {b, x01..x19}, and skipping b there leaves the chain
+    # x01..x19, x02..x19, ..., x19: 3 + 19 = 22 states.
+    xs = [f"x{i:02d}" for i in range(1, 20)]
     weighted = tmp_path / "weighted.json"
-    weighted.write_text(canonical_json({"ground": atoms, "weighted": [{x: "1/1" for x in atoms}]}))
+    rows = [{x: "1/1" for x in [a] + xs} for a in "ab"]
+    weighted.write_text(canonical_json({"ground": ["a", "b"] + xs, "weighted": rows}))
     vector = tmp_path / "vector.json"
-    vector.write_text(canonical_json({"entries": {"a": "1/1"}}))
+    vector.write_text(canonical_json({"entries": {"a": "1/1", "b": "1/1"}}))
     argv = ["norm-re", "--weighted", str(weighted), "--vector", str(vector)]
-    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"state_budget": 20}')
+    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"state_budget": 22}')
     code, payload = run(capsys, argv)
     assert (code, payload["norm_sq"]) == (0, "1/1")
-    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"state_budget": 19}')
+    monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"state_budget": 21}')
     code, payload = run(capsys, argv)
     assert code == 3
     assert payload["error"]["code"] == "resource-limit"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jsnorm import core
 from jsnorm.core import (
     FiniteTree,
     FinVector,
@@ -17,6 +18,7 @@ from jsnorm.core import (
     tree_segments,
     unit_vector,
 )
+from jsnorm.errors import ResourceLimitError
 
 
 def test_canonical_member_sorts_and_dedupes():
@@ -91,6 +93,17 @@ def test_dyadic_tree_shape():
     assert len(leaves) == 4
     assert t.depth() == 2
     assert len(t.ancestors("2:3")) == 3
+
+
+def test_dyadic_tree_node_limit(monkeypatch):
+    # DYADIC_NODE_LIMIT is a module constant, not a Budgets field: depth 12
+    # has 8,191 nodes, depth 13 raises before building anything.
+    with pytest.raises(ResourceLimitError, match="16383 nodes > limit 8191"):
+        dyadic_tree(13)
+    monkeypatch.setattr(core, "DYADIC_NODE_LIMIT", 7)
+    assert len(dyadic_tree(2).nodes) == 7
+    with pytest.raises(ResourceLimitError, match="15 nodes > limit 7"):
+        dyadic_tree(3)
 
 
 def test_dyadic_tree_node_addressing():

@@ -39,6 +39,7 @@ from jsnorm.norm import (
     sqrt_decimal,
     weighted_eval,
 )
+from jsnorm.suite import _int_sqrt_ceil
 
 
 def depth1():
@@ -62,6 +63,58 @@ def test_sqrt_decimal():
     assert sqrt_decimal(Fraction(0)) == 0
     with pytest.raises(ValueError):
         sqrt_decimal(Fraction(-1))
+    # Exact roots drop trailing zeros; small and large ones print in exponent form.
+    assert str(sqrt_decimal(Fraction(1, 10**30), 10)) == "1E-15"
+    assert str(sqrt_decimal(Fraction(10**60), 10)) == "1.000000000E+30"
+
+
+def _rounded_root(value, precision):
+    """√value rounded half-even to ``precision`` significant digits, as a
+    Fraction: the decade by comparing squares, the digits by the suite's
+    integer ceiling root."""
+    e = 0
+    while value >= Fraction(100) ** (e + precision):
+        e += 1
+    while value < Fraction(100) ** (e + precision - 1):
+        e -= 1
+    scaled = value / Fraction(100) ** e
+    c = _int_sqrt_ceil(scaled)  # c - 1 < √scaled <= c
+    if c * c != scaled:
+        half = Fraction(2 * c - 1, 2) ** 2
+        if scaled < half or scaled == half and c % 2:
+            c -= 1
+    return c * Fraction(10) ** e
+
+
+def test_sqrt_decimal_is_correctly_rounded_where_decimal_rounds_twice():
+    # Rounding the quotient and the root to 60 digits before rounding to 50
+    # once gave ...24 and ...22 here.
+    for x in ["1." + "2" * 48 + "34" + "9" * 29, "1." + "2" * 49 + "5" + "0" * 28 + "1"]:
+        value = Fraction(x) ** 2
+        assert str(sqrt_decimal(value, 50)) == "1." + "2" * 48 + "3"
+        for precision in (10, 50, 200):
+            assert Fraction(sqrt_decimal(value, precision)) == _rounded_root(value, precision)
+
+
+def test_sqrt_decimal_near_halves():
+    # Roots just below, at and just above the midpoint of two neighbours,
+    # including the midpoint below a power of ten.
+    rnd = random.Random(41)
+    for _ in range(600):
+        precision = rnd.choice([1, 2, 3, 10, 28, 50, 60])
+        c = rnd.choice([10**precision - 1, rnd.randrange(10 ** (precision - 1), 10**precision)])
+        scale = Fraction(10) ** rnd.randint(-30, 30)
+        nudge = Fraction(rnd.choice([-1, 0, 1]), 10 ** rnd.randint(precision + 2, precision + 40))
+        value = ((Fraction(2 * c + 1, 2) + nudge) * scale) ** 2
+        assert Fraction(sqrt_decimal(value, precision)) == _rounded_root(value, precision)
+
+
+def test_sqrt_decimal_seeded_sweep():
+    rnd = random.Random(43)
+    for _ in range(1500):
+        value = Fraction(rnd.randrange(1, 10 ** rnd.randint(1, 60)), rnd.randrange(1, 10 ** rnd.randint(1, 60)))
+        precision = rnd.choice([1, 5, 10, 50, 200])
+        assert Fraction(sqrt_decimal(value, precision)) == _rounded_root(value, precision)
 
 
 def test_functional_eval():

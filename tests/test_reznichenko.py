@@ -16,6 +16,7 @@ from jsnorm.errors import (
     InputFormatError,
     InvalidPartitionError,
     MissingStratumError,
+    ResourceLimitError,
 )
 from jsnorm.reznichenko import (
     SAMPLE_RETRIES,
@@ -412,6 +413,24 @@ def test_segment_family_and_strata():
         assert (a,) in fam2
     strata2 = segment_strata(sys, fam2)
     assert all(n >= 1 for n in strata2.values())
+
+
+def test_segment_family_raises_past_its_fixed_guard(monkeypatch):
+    # SEGMENT_BUDGET is a module constant, not a Budgets field; both of
+    # segment_family's raises are reached by lowering it.
+    sys = small_system()
+    segments = len(segment_family(sys).members)
+    with_ground = len(segment_family(sys, adjoin_ground=True).members)
+    assert segments < with_ground
+    monkeypatch.setattr(reznichenko, "SEGMENT_BUDGET", segments - 1)
+    with pytest.raises(ResourceLimitError, match="segment count exceeds budget"):
+        segment_family(sys)
+    monkeypatch.setattr(reznichenko, "SEGMENT_BUDGET", segments)
+    assert len(segment_family(sys).members) == segments
+    with pytest.raises(ResourceLimitError, match="segment count exceeds budget"):
+        segment_family(sys, adjoin_ground=True)
+    monkeypatch.setattr(reznichenko, "SEGMENT_BUDGET", with_ground)
+    assert len(segment_family(sys, adjoin_ground=True).members) == with_ground
 
 
 def test_segment_strata_rejects_non_segments():
