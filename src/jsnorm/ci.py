@@ -10,10 +10,12 @@ residual fails the check with a replayable witness.
 
 ``_Masks`` computes each member's distinct traces s∩t once and keeps a memo
 of the exact covers found, so a target covered before never reaches the
-table again. ``check_ci`` reads condition (b)'s differences s∖t, condition
-(c)'s unions and ``max_trace_size`` off those traces. ``check_condition_b``
-is the one-pair entry point for callers that hold atom tuples; every exact
-cover goes through ``_Masks.decompose``.
+table again; nor does a target whose atoms all have their singletons in the
+family, since those singletons cover it. ``check_ci`` reads condition (b)'s
+differences s∖t, condition (c)'s unions and ``max_trace_size`` off those
+traces. ``check_condition_b`` is the one-pair entry point for callers that
+hold atom tuples; every exact cover search goes through
+``_Masks.decompose``.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ class _Masks:
         self.by_member = dict(zip(family.members, self.member_masks))
         self._by_size = sorted(self.by_member, key=lambda m: (-len(m), m))
         self.exact: dict[int, tuple[Member, ...]] = {0: ()}  # exact covers found so far
+        self.singles = sum(self.bit[m[0]] for m in family.members if len(m) == 1)
 
     @cached_property
     def traces(self) -> list[dict[int, Member]]:
@@ -139,6 +142,12 @@ class _Masks:
             self.exact[diff] = parts
         return parts
 
+    def covered(self, target: int, state_budget: int) -> bool:
+        """Whether disjoint members cover ``target`` exactly. A target inside
+        ``singles`` is the disjoint union of its singletons, so only a target
+        with an atom outside ``singles`` reaches ``decompose``."""
+        return not target & ~self.singles or self.decompose(target, state_budget) is not None
+
 
 def check_condition_b(
     family: SetFamily,
@@ -188,15 +197,21 @@ def check_condition_c(
     the trace s∖⋃s_ti must be covered exactly by disjoint members. Tuples
     are enumerated through their distinct unions, level by level: each level
     extends the last by one trace and keeps the unions not seen before, each
-    with the first tuple found. The first union that fails is the witness."""
+    with the first tuple found. Each union counts against ``trace_budget``
+    and is checked as soon as it is made; the first that fails is the
+    witness. A member inside the singletons is skipped, unions uncounted."""
     masks = _masks or _Masks(family)
-    if envelope is None:
+    env = None if envelope is None else _checked_envelope(family, envelope)
+    if not any(m & ~masks.singles for m in masks.member_masks):
+        return ConditionResult(passed=True)  # every trace lies inside the singletons
+    if env is None:
         traces = masks.traces
     else:
-        env = _checked_envelope(family, envelope)
         traces = masks.trace_table([masks.by_member[env[t]] for t in family.members])
     checks = 0
     for s, s_mask, s_traces in zip(family.members, masks.member_masks, traces):
+        if not s_mask & ~masks.singles:
+            continue
         unions: dict[int, tuple[Member, ...]] = {}
         level: dict[int, tuple[Member, ...]] = {0: ()}  # the empty tuple
         for _ in range(sample_bound):
@@ -204,27 +219,27 @@ def check_condition_c(
             for u, rep in level.items():
                 for r, t in s_traces.items():
                     nu = u | r
-                    if nu not in unions and nu not in grown:
-                        grown[nu] = rep + (t,)
+                    if nu in unions or nu in grown:
+                        continue
+                    checks += 1
+                    if checks > trace_budget:
+                        raise ResourceLimitError(f"condition (c) trace budget {trace_budget} exceeded")
+                    grown[nu] = rep + (t,)
+                    target = s_mask & ~nu
+                    if not masks.covered(target, state_budget):
+                        parts, covered = masks.packing(target, state_budget)
+                        return ConditionResult(
+                            passed=False,
+                            witness={
+                                "s": s,
+                                "tuple": list(grown[nu]),
+                                "uncovered": masks.unmask(target & ~covered),
+                                "packing": [list(p) for p in parts],
+                                "residual": (target & ~covered).bit_count(),
+                            },
+                        )
             unions.update(grown)
             level = grown
-        for u, rep in unions.items():
-            checks += 1
-            if checks > trace_budget:
-                raise ResourceLimitError(f"condition (c) trace budget {trace_budget} exceeded")
-            target = s_mask & ~u
-            if masks.decompose(target, state_budget) is None:
-                parts, covered = masks.packing(target, state_budget)
-                return ConditionResult(
-                    passed=False,
-                    witness={
-                        "s": s,
-                        "tuple": list(rep),
-                        "uncovered": masks.unmask(target & ~covered),
-                        "packing": [list(p) for p in parts],
-                        "residual": (target & ~covered).bit_count(),
-                    },
-                )
     return ConditionResult(passed=True)
 
 
@@ -278,11 +293,11 @@ def check_ci(
     order, so s∖r runs over the distinct differences of the ordered pairs,
     s outer and t inner, each with the first t that gives it. A difference
     covered exactly before is a memo hit, so only a new difference reaches
-    the packing search. The first pair whose search adds more than
-    ``state_budget`` table entries raises ``ResourceLimitError``, and the
-    first pair that fails is the witness, as if ``check_condition_b`` had
-    been called on each pair s != t in turn. Condition (c) packs its traces
-    under the same ``state_budget``.
+    the packing search, and a difference inside the singletons never does.
+    The first pair that fails is the witness, as if ``check_condition_b``
+    had been called on each pair s != t in turn; the first search that adds
+    more than ``state_budget`` table entries raises ``ResourceLimitError``.
+    Condition (c) packs its traces under the same ``state_budget``.
     """
     missing = next((a for a in sorted(family.ground.elements) if (a,) not in family), None)
     cond_a = ConditionResult(passed=missing is None, witness=None if missing is None else {"atom": missing})
@@ -296,7 +311,7 @@ def check_ci(
     masks = _Masks(family)
     cond_b = ConditionResult(passed=True)
     for s, s_mask, traces in zip(family.members, masks.member_masks, masks.traces):
-        t = next((t for r, t in traces.items() if masks.decompose(s_mask & ~r, state_budget) is None), None)
+        t = next((t for r, t in traces.items() if not masks.covered(s_mask & ~r, state_budget)), None)
         if t is not None:
             cond_b = ConditionResult(passed=False, witness={"s": s, "t": t})
             break

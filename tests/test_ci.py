@@ -1,10 +1,16 @@
+import functools
+import itertools
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jsnorm.budgets import Budgets
 from jsnorm.ci import (
+    CiReport,
+    ConditionResult,
     check_ci,
     check_condition_b,
     check_condition_c,
@@ -164,3 +170,140 @@ def test_condition_b_decomposition_validity(seed, depth):
     assert len(flat) == len(set(flat))
     for p in d.parts:
         assert p in fam
+
+
+def _exactly_covered(target, masks):
+    """Whether pairwise disjoint masks inside ``target`` cover it exactly."""
+    if not target:
+        return True
+    low = target & -target
+    return any(_exactly_covered(target & ~m, masks) for m in masks if m & low and not m & ~target)
+
+
+def _packings(target, masks, start=0, used=0):
+    """Every index set of pairwise disjoint masks inside ``target``, with its union."""
+    yield (), used
+    for i in range(start, len(masks)):
+        m = masks[i]
+        if not m & ~target and not m & used:
+            for rest, union in _packings(target, masks, i + 1, used | m):
+                yield (i,) + rest, union
+
+
+def _brute_force_report(family, envelope, sample_bound):
+    """check_ci's report from its definitions, searching every target:
+    condition (b) on each pair s != t in member order; condition (c) on each
+    tuple of 1..sample_bound members in lexicographic order, its union taken
+    the first time it appears, the witness packing being the largest
+    coverage, ties to the packing holding the smallest index in candidate
+    order (larger members first, then canonical order)."""
+    atoms = sorted(family.ground.elements)
+    bit = {a: 1 << i for i, a in enumerate(atoms)}
+    mask = {m: sum(bit[a] for a in m) for m in family.members}
+    masks = list(mask.values())
+    missing = next((a for a in atoms if (a,) not in family), None)
+    cond_a = ConditionResult(passed=missing is None, witness=None if missing is None else {"atom": missing})
+    cond_b = next(
+        (
+            ConditionResult(passed=False, witness={"s": s, "t": t})
+            for s in family.members
+            for t in family.members
+            if not _exactly_covered(mask[s] & ~mask[t], masks)
+        ),
+        ConditionResult(passed=True),
+    )
+    env = envelope or identity_envelope(family)
+    order = sorted(family.members, key=lambda m: (-len(m), m))
+    cond_c = ConditionResult(passed=True)
+    for s in family.members:
+        seen = set()
+        for k in range(1, sample_bound + 1):
+            for tup in itertools.product(family.members, repeat=k):
+                u = functools.reduce(operator.or_, (mask[s] & mask[env[t]] for t in tup))
+                target = mask[s] & ~u
+                if u in seen or _exactly_covered(target, masks):
+                    seen.add(u)
+                    continue
+                n = len(order)
+                picked, covered = min(
+                    _packings(target, [mask[m] for m in order]),
+                    key=lambda p: (-p[1].bit_count(), [i not in p[0] for i in range(n)]),
+                )
+                cond_c = ConditionResult(
+                    passed=False,
+                    witness={
+                        "s": s,
+                        "tuple": list(tup),
+                        "uncovered": tuple(a for a in atoms if bit[a] & target & ~covered),
+                        "packing": [list(order[i]) for i in picked],
+                        "residual": (target & ~covered).bit_count(),
+                    },
+                )
+                break
+            if not cond_c.passed:
+                break
+        if not cond_c.passed:
+            break
+    traces = [len({mask[s] & m for m in masks}) for s in family.members]
+    return CiReport(cond_a, cond_b, cond_c, max(traces, default=0), envelope is None)
+
+
+@st.composite
+def _small_families(draw):
+    atoms = [f"a{i}" for i in range(draw(st.integers(2, 5)))]
+    singles = [[a] for a in atoms if draw(st.booleans())]
+    members = draw(st.lists(st.lists(st.sampled_from(atoms), min_size=2, unique=True), max_size=7))
+    family = SetFamily(GroundSet(atoms), singles + members)
+    envelope = None
+    if draw(st.booleans()):
+        envelope = {t: draw(st.sampled_from([s for s in family.members if set(t) <= set(s)])) for t in family.members}
+    return family, envelope
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_families())
+def test_check_ci_matches_brute_force(case):
+    # Families of 2-5 atoms, each singleton in or out, with or without an
+    # envelope, under the default budgets: a target inside the singletons is
+    # never searched, and the report is the one every search would give.
+    family, envelope = case
+    assert check_ci(family, envelope) == _brute_force_report(family, envelope, Budgets.sample_bound)
+
+
+def test_reduced_families_keep_their_witnesses():
+    # Reports of families with atoms outside the singletons, pinned: leaving
+    # targets inside the singletons unsearched must not move a witness.
+    atoms = [f"a{i}" for i in range(7)]
+    gap = SetFamily(
+        GroundSet(atoms),
+        [atoms, ["a0", "a4"], ["a0", "a6"], ["a1"], ["a1", "a5"], ["a1", "a5", "a6"], ["a2"], ["a2", "a4"]]
+        + [["a3"], ["a4"], ["a5"], ["a6"]],
+    )
+    assert report_to_dict(check_ci(gap)) == {
+        "condition_a": {"passed": False, "witness": {"atom": "a0"}},
+        "condition_b": {"passed": False, "witness": {"s": ["a0", "a4"], "t": ["a2", "a4"]}},
+        "condition_c": {
+            "passed": False,
+            "witness": {
+                "s": atoms,
+                "tuple": [("a1", "a5", "a6"), ("a2", "a4")],
+                "uncovered": ["a0"],
+                "packing": [["a3"]],
+                "residual": 1,
+            },
+        },
+        "envelope": "identity",
+        "max_trace_size": 12,
+        "passed": False,
+    }
+    full = tree_segments(dyadic_tree(3))
+    reduced = SetFamily(full.ground, [m for m in full.members if m not in {("2:1",), ("1:0", "2:1")}])
+    payload = report_to_dict(check_ci(reduced))
+    assert payload["condition_b"]["witness"] == {"s": ["0:0", "1:0", "2:1"], "t": ["0:0"]}
+    assert payload["condition_c"]["witness"] == {
+        "s": ["0:0", "1:0", "2:1"],
+        "tuple": [("0:0",)],
+        "uncovered": ["2:1"],
+        "packing": [["1:0"]],
+        "residual": 1,
+    }

@@ -6,6 +6,8 @@ condition (c)'s level-by-level unions against the frontier loop they replaced.""
 import functools
 import operator
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -165,15 +167,32 @@ def test_reports_match_coverage_search(monkeypatch):
     assert any(not r["passed"] for rs in new for r in rs if isinstance(r, dict))
 
 
-def _pairwise_condition_b(family, state_budget=Budgets.state_budget, masks=None):
+def _pairwise_condition_b(family, state_budget=Budgets.state_budget, masks=None, skip_singles=False):
     """Condition (b) through the public one-pair check: every ordered pair
-    s != t in member order, stopping at the first pair that fails."""
+    s != t in member order, stopping at the first pair that fails. With
+    ``skip_singles``, a pair whose difference lies inside the singletons is
+    taken as covered without a check, as ``check_ci`` takes it."""
     masks = masks or ci._Masks(family)
     for s in family.members:
         for t in family.members:
+            if skip_singles and not masks.by_member[s] & ~masks.by_member[t] & ~masks.singles:
+                continue
             if s != t and ci.check_condition_b(family, s, t, state_budget=state_budget, _masks=masks) is None:
                 return ci.ConditionResult(passed=False, witness={"s": s, "t": t})
     return ci.ConditionResult(passed=True)
+
+
+def _split_root(depth):
+    """Dyadic segments with the root 0:0 split into atoms 0:0a and 0:0b that
+    occur only together. Neither has its singleton, so ``check_ci`` searches
+    every difference that holds the root; the family is the intact one with
+    one atom doubled, so conditions (b) and (c) pass."""
+    full = tree_segments(dyadic_tree(depth))
+
+    def split(atoms):
+        return [b for a in atoms for b in ((a + "a", a + "b") if a == "0:0" else (a,))]
+
+    return SetFamily(GroundSet(split(full.ground.elements)), [split(m) for m in full.members])
 
 
 def test_condition_b_matches_pairwise_reference():
@@ -198,10 +217,12 @@ def test_condition_b_matches_pairwise_reference():
 
 
 def test_check_ci_state_budget_raises_at_first_pair_over_it(monkeypatch):
-    # On depth 4 the first 14 distinct differences add 10 table entries, at
-    # most 3 each. The 15th, {1:0..4:0} from the pair (0:0..4:0, 0:0), adds 4,
-    # so a budget of 3 raises there and a budget of 4 lets the check through.
-    family = tree_segments(dyadic_tree(4))
+    # On the split depth-4 family only the 155 distinct differences that hold
+    # the root are searched. The first 85 add 93 table entries, at most 5
+    # each. The 86th, the member {0:0a, 0:0b, 1:1, 2:2, 3:4, 4:8} itself
+    # (from a pair with a disjoint t), adds 6, so a budget of 5 raises there
+    # and a budget of 6 lets the check through.
+    family = _split_root(4)
     targets = []
 
     def packing(self, target, state_budget, _packing=ci._Masks.packing):
@@ -211,7 +232,7 @@ def test_check_ci_state_budget_raises_at_first_pair_over_it(monkeypatch):
     monkeypatch.setattr(ci._Masks, "packing", packing)
     reference = ci._Masks(family)
     with pytest.raises(ResourceLimitError) as expected:
-        _pairwise_condition_b(family, state_budget=3, masks=reference)
+        _pairwise_condition_b(family, state_budget=5, masks=reference, skip_singles=True)
     expected_targets, targets[:] = targets[:], []
     made = []
 
@@ -222,18 +243,19 @@ def test_check_ci_state_budget_raises_at_first_pair_over_it(monkeypatch):
 
     monkeypatch.setattr(ci, "_Masks", Recording)
     with pytest.raises(ResourceLimitError) as exc:
-        ci.check_ci(family, state_budget=3)
+        ci.check_ci(family, state_budget=5)
     assert str(exc.value) == str(expected.value)
     # the same distinct differences were searched, in the same order, and the
     # table holds the same entries: a raise stores nothing
     assert targets == list(dict.fromkeys(expected_targets))
-    assert len(targets) == 15
-    assert made[0].unmask(targets[-1]) == ("1:0", "2:0", "3:0", "4:0")
-    path = made[0].by_member[("0:0", "1:0", "2:0", "3:0", "4:0")]
-    assert targets[-1] == path & ~made[0].by_member[("0:0",)]
+    assert len(targets) == 86
+    assert all(target & ~made[0].singles for target in targets)
+    assert made[0].unmask(targets[-1]) == ("0:0a", "0:0b", "1:1", "2:2", "3:4", "4:8")
     assert made[0].table.best == reference.table.best
-    assert len(made[0].table.best) == 1 + 10
-    assert ci.check_ci(family, state_budget=4).passed
+    assert len(made[0].table.best) == 1 + 93
+    report = ci.check_ci(family, state_budget=6)
+    assert report.condition_b.passed and report.condition_c.passed
+    assert report.condition_a.witness == {"atom": "0:0a"}
 
 
 def test_disjointify_state_budget_raises_the_condition_b_error():
@@ -250,11 +272,11 @@ def test_disjointify_state_budget_raises_the_condition_b_error():
 
 def test_condition_b_work_counts(monkeypatch):
     # Counts calls and table entries, not time: condition (b) in check_ci
-    # canonicalises no member per pair, each distinct target runs one table
-    # search, over the overlap components of the members inside it, a
-    # repeated target is a memo hit that never reaches the table, and no
-    # state is counted twice.
-    family = tree_segments(dyadic_tree(4))
+    # canonicalises no member per pair, each distinct target that holds an
+    # atom without its singleton runs one table search, over the overlap
+    # components of the members inside it, a repeated target is a memo hit
+    # that never reaches the table, and no state is counted twice.
+    family = _split_root(4)
     calls = {"require": 0, "canonical_member": 0}
     targets = []
     searches = []  # (table, target, components searched, new entries counted)
@@ -279,7 +301,7 @@ def test_condition_b_work_counts(monkeypatch):
     monkeypatch.setattr(ci, "canonical_member", counted("canonical_member", ci.canonical_member))
     monkeypatch.setattr(ci._Masks, "packing", packing)
     monkeypatch.setattr(PackingTable, "solve", solve)
-    assert ci.check_ci(family).passed
+    assert ci.check_ci(family).condition_b.passed
 
     assert calls["require"] == 0
     assert calls["canonical_member"] <= len(family.ground)  # condition (a): one per atom
@@ -287,8 +309,8 @@ def test_condition_b_work_counts(monkeypatch):
     assert all(t is table for t, _, _, _ in searches)  # one table per check
     assert sum(n for _, _, _, n in searches) == len(table.best) - 1
     assert [target for _, target, _, _ in searches] == list(dict.fromkeys(targets))
-    assert len(targets) == len(searches) == 341  # condition (c)'s repeats are memo hits
-    assert len(table.best) == 1 + 129  # the 341 distinct targets add 129 entries
+    assert len(targets) == len(searches) == 171  # condition (c)'s repeats are memo hits
+    assert len(table.best) == 1 + 160  # the 171 distinct targets add 160 entries
     for _, target, comps, _ in searches:
         inside = [m for m in table.masks if m & target == m]
         assert sum(comps) == functools.reduce(operator.or_, comps) == functools.reduce(operator.or_, inside)
@@ -297,18 +319,88 @@ def test_condition_b_work_counts(monkeypatch):
     assert any(len(comps) > 1 for _, _, comps, _ in searches)
     masks = ci._Masks(family)
     diffs = list(dict.fromkeys(s & ~t for s in masks.member_masks for t in masks.member_masks))
-    diffs.remove(0)
-    assert targets[: len(diffs)] == diffs  # (b) searches each difference once, in pair order
+    searched = [d for d in diffs if d & ~masks.singles]  # 155 of the 325 nonzero differences
+    assert len(diffs) - 1 == 325 and len(searched) == 155
+    assert targets[: len(searched)] == searched  # (b) searches each such difference once, in pair order
+    assert all(target & ~masks.singles for target in targets)  # so does (c)
+
+
+def _big_over_pairs(m):
+    """Members {a00, a01}, {a02, a03}, ... and one member of all m atoms, with
+    no singletons, so every condition (c) target is searched."""
+    atoms = [f"a{i:03d}" for i in range(m)]
+    return SetFamily(GroundSet(atoms), [atoms[i : i + 2] for i in range(0, m, 2)] + [atoms])
 
 
 def test_condition_c_state_budget_on_one_large_member():
-    # One 30-atom member over its singletons; at sample_bound 1 its traces
-    # leave 29 atoms, which the singletons pack over 29 DP states.
-    atoms = [f"a{i:02d}" for i in range(30)]
-    family = SetFamily(GroundSet(atoms), [[a] for a in atoms] + [atoms])
-    assert ci.check_condition_c(family, sample_bound=1, state_budget=29).passed
+    # One 30-atom member over 15 disjoint pairs. At sample_bound 1 its trace
+    # by the first pair leaves 28 atoms, which the 14 other pairs pack over
+    # 28 DP states, 2 per overlap component; every other search adds at most 2.
+    family = _big_over_pairs(30)
+    assert ci.check_condition_c(family, sample_bound=1, state_budget=28).passed
     with pytest.raises(ResourceLimitError):
-        ci.check_condition_c(family, sample_bound=1, state_budget=28)
+        ci.check_condition_c(family, sample_bound=1, state_budget=27)
+
+
+def test_condition_c_checks_each_union_as_it_is_made():
+    # The big member of 120 atoms over 60 pairs has C(60, <=3) = 36,051
+    # distinct unions at sample_bound 3. Checking each one where it is made
+    # stops at the 101st check, before most of them exist.
+    family = _big_over_pairs(120)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="trace budget 100"):
+            ci.check_condition_c(family, trace_budget=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_condition_c_holds_at_most_trace_budget_unions(monkeypatch):
+    # At every check, the member being checked holds only the unions made so
+    # far, the one being checked included: the loop's ``unions`` of earlier
+    # levels plus ``grown`` of this one.
+    family = _big_over_pairs(40)
+    held = []
+
+    def covered(self, target, state_budget, _covered=ci._Masks.covered):
+        loop = sys._getframe(1).f_locals
+        held.append(len(loop["unions"]) + len(loop["grown"]))
+        return _covered(self, target, state_budget)
+
+    monkeypatch.setattr(ci._Masks, "covered", covered)
+    for budget in (5, 50, 500):
+        held.clear()
+        with pytest.raises(ResourceLimitError):
+            ci.check_condition_c(family, trace_budget=budget)
+        assert len(held) == budget and max(held) <= budget
+    # Each of the 20 pairs checks 2 unions, and the big member 1 + 20 + 190 +
+    # 1,140 = 1,351 (itself, then unions of 1-3 pairs): 1,391 checks in all.
+    held.clear()
+    assert ci.check_condition_c(family, trace_budget=1391).passed
+    assert len(held) == 1391 and max(held) == 1351
+    with pytest.raises(ResourceLimitError):
+        ci.check_condition_c(family, trace_budget=1390)
+
+
+def test_intact_family_is_never_searched(monkeypatch):
+    # Every atom has its singleton, so every (b) and (c) target is covered by
+    # singletons: no table is built and no condition (c) union is made.
+    family = tree_segments(dyadic_tree(4))
+    made = []
+
+    class Recording(ci._Masks):
+        def __init__(self, family):
+            super().__init__(family)
+            made.append(self)
+
+    monkeypatch.setattr(ci, "_Masks", Recording)
+    monkeypatch.setattr(PackingTable, "__init__", None)
+    env = {t: max((s for s in family.members if set(t) <= set(s)), key=len) for t in family.members}
+    for envelope in (None, env):
+        report = ci.check_ci(family, envelope, trace_budget=1)
+        assert report.passed and "table" not in vars(made[-1])
 
 
 def test_interleaved_components_are_searched_apart():

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from jsnorm import cli
-from jsnorm.core import FiniteTree, FinVector, dyadic_tree, tree_segments
+from jsnorm.core import FiniteTree, FinVector, SetFamily, dyadic_tree, tree_segments
 from jsnorm.errors import InputFormatError, JsnormError, ResourceLimitError
 from jsnorm.serialize import (
     canonical_json,
@@ -432,27 +432,48 @@ def test_env_budget_unknown_key_exits_2(capsys, inputs, monkeypatch):
     assert code == 2
 
 
-def test_env_trace_budget_reaches_condition_c(capsys, inputs, monkeypatch):
+def _reduced_depth2_family(tmp_path):
+    """Dyadic depth-2 segments without the singleton {2:0}: the one family
+    file here whose checks search, since only a target holding 2:0 does."""
+    full = tree_segments(dyadic_tree(2))
+    path = tmp_path / "reduced.json"
+    path.write_text(canonical_json(family_to_dict(SetFamily(full.ground, [m for m in full.members if m != ("2:0",)]))))
+    return str(path)
+
+
+def test_env_trace_budget_reaches_condition_c(capsys, tmp_path, monkeypatch):
+    # Only members holding 2:0 count unions; the first, {0:0, 1:0, 2:0}, has
+    # more than one distinct trace.
     monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"trace_budget": 1}')
-    code, payload = run(capsys, ["check-ci", "--family", inputs["family.json"]])
+    code, payload = run(capsys, ["check-ci", "--family", _reduced_depth2_family(tmp_path)])
     assert code == 3
     assert "trace budget 1" in payload["error"]["message"]
 
 
 def test_env_state_budget_reaches_condition_b(capsys, tmp_path, monkeypatch):
-    # On depth 2, ({0:0, 1:0, 2:0}, {0:0}) is the first pair whose difference
-    # adds 2 table entries; no other search of check-ci adds more.
-    path = tmp_path / "family.json"
-    path.write_text(canonical_json(family_to_dict(tree_segments(dyadic_tree(2)))))
+    # ({0:0, 1:0, 2:0}, {0:0}) gives the first difference that holds 2:0,
+    # {1:0, 2:0}; its search adds 2 table entries and no other search of
+    # check-ci adds any. With 2 the check runs to its report, which fails.
+    path = _reduced_depth2_family(tmp_path)
     monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"state_budget": 1}')
-    code, payload = run(capsys, ["check-ci", "--family", str(path)])
+    code, payload = run(capsys, ["check-ci", "--family", path])
     assert code == 3
     assert payload["error"]["code"] == "resource-limit"
     assert "state_budget = 1" in payload["error"]["message"]
     monkeypatch.setenv(cli.ENV_BUDGET_VAR, '{"state_budget": 2}')
-    code, payload = run(capsys, ["check-ci", "--family", str(path)])
-    assert code == 0
-    assert payload["passed"]
+    code, payload = run(capsys, ["check-ci", "--family", path])
+    assert code == 1
+    assert payload["condition_b"]["witness"] == {"s": ["0:0", "1:0", "2:0"], "t": ["0:0", "1:0"]}
+
+
+def test_bad_envelope_on_intact_family_is_rejected(capsys, inputs, tmp_path):
+    # Every atom has its singleton, so condition (c) has nothing to search,
+    # but the envelope is still checked first.
+    env = tmp_path / "envelope.json"
+    env.write_text(canonical_json({"envelope": [[["0:0"], ["1:0"]]]}))
+    code, payload = run(capsys, ["check-ci", "--family", inputs["family.json"], "--envelope", str(env)])
+    assert code == 1
+    assert payload["error"] == {"code": "invalid-envelope", "message": "envelope target ('1:0',) does not contain ('0:0',)"}
 
 
 @pytest.mark.parametrize("key", ["oracle_limit", "cover_limit"])
@@ -964,7 +985,7 @@ def test_each_command_runs_under_one_collector_pause(capsys, tmp_path, inputs, m
         (["check-ci", "--family", inputs["family.json"]], None, 0),
         (["disjointify", "--family", str(overlap), "--members", str(pair)], None, 1),
         (["norm", "--family", inputs["family.json"], "--vector", inputs["bad-vector.json"]], None, 2),
-        (["check-ci", "--family", inputs["family.json"]], '{"trace_budget": 1}', 3),
+        (["check-ci", "--family", inputs["family.json"]], '{"pair_budget": 1}', 3),
     ]
     was = gc.isenabled()
     try:

@@ -5,10 +5,11 @@
 Builds the op list of ``bench/workloads.py`` for the workload and seed, as
 ``bench/run.py`` does, runs each op once in this checkout and prints one
 JSON document: per op its kind, exit code, the SHA-256 of its report and of
-every file it wrote, and per op kind the new ``PackingTable`` entries its
-searches added. Nothing is timed and no output is checked; the benchmark
-does both. The work directory's path is replaced by ``<work>`` before
-hashing, so the digests do not depend on where it was made.
+every file it wrote, and per op kind the ``PackingTable.pack`` calls its
+searches made and the new table entries they added. Nothing is timed and
+no output is checked; the benchmark does both. The work directory's path is
+replaced by ``<work>`` before hashing, so the digests do not depend on where
+it was made.
 """
 
 from __future__ import annotations
@@ -57,7 +58,8 @@ def _plain(lib, value):
 def digests(workload: str, seed: int, work: str) -> dict:
     lib, ops, _ = run.set_up(workload, seed, 1, work)
     table = lib.jsnorm.packing.PackingTable
-    entries: Counter = Counter()
+    entries = Counter(dict.fromkeys((op.kind for op in ops), 0))  # a kind that never packs shows 0
+    calls = Counter(entries)
     kind = ""
 
     def counting_solve(self, frees, *budget, _solve=table.solve):
@@ -65,7 +67,12 @@ def digests(workload: str, seed: int, work: str) -> dict:
         entries[kind] += added
         return added
 
+    def counting_pack(self, free, *budget, _pack=table.pack):
+        calls[kind] += 1
+        return _pack(self, free, *budget)
+
     table.solve = counting_solve
+    table.pack = counting_pack
     rows = []
     for op in ops:
         kind = op.kind
@@ -84,7 +91,13 @@ def digests(workload: str, seed: int, work: str) -> dict:
             with open(os.path.join(work, name), "rb") as fh:
                 written[name] = _sha(fh.read().replace(work.encode(), b"<work>"))
         rows.append({"kind": kind, "exit": code, "report": _sha(text.replace(work, "<work>").encode()), "files": written})
-    return {"workload": workload, "seed": seed, "ops": rows, "packing_entries": dict(sorted(entries.items()))}
+    return {
+        "workload": workload,
+        "seed": seed,
+        "ops": rows,
+        "packing_calls": dict(sorted(calls.items())),
+        "packing_entries": dict(sorted(entries.items())),
+    }
 
 
 def main(argv=None) -> int:
